@@ -200,17 +200,13 @@ pub fn build_scrambler_app(
     opts: &FlowOptions,
 ) -> Result<(DreamScramblerApp, FlowReport), BuildError> {
     let app = DreamScramblerApp::build(spec, opts.m, &opts.params, opts.synth, opts.control)?;
-    {
-        let derby = app.transform();
-        let expected = derby.c_stack_t().hstack(derby.d_stack());
-        enforce("scrambler", app.op(), &expected, opts)?;
-        enforce_analysis("scrambler", app.op(), opts)?;
-    }
     let serial = StateSpaceLfsr::additive_scrambler(&spec.polynomial()).expect("valid poly");
-    let a_m_ones = serial.a().pow(opts.m as u64).count_ones();
     let block = BlockSystem::new(&serial, opts.m).expect("m checked by build");
-    let derby = DerbyTransform::new(&block).expect("derby succeeded in build");
-    let complexity = derby.complexity();
+    let expected = app.transform().output_matrix(&block);
+    enforce("scrambler", app.op(), &expected, opts)?;
+    enforce_analysis("scrambler", app.op(), opts)?;
+    let a_m_ones = serial.a().pow(opts.m as u64).count_ones();
+    let complexity = app.transform().complexity();
     let report = FlowReport {
         m: opts.m,
         method: CrcMethod::Derby,
@@ -323,7 +319,7 @@ pub fn build_scrambler_personality(
     let serial = StateSpaceLfsr::additive_scrambler(&spec.polynomial()).expect("valid poly");
     let block = BlockSystem::new(&serial, opts.m)?;
     let derby = DerbyTransform::new(&block)?;
-    let expected = derby.c_stack_t().hstack(derby.d_stack());
+    let expected = derby.output_matrix(&block);
     let net = synthesize(&expected, opts.synth);
     let op = PgaOperation::scrambler("scrambler", net, derby.a_mt(), opts.m, &opts.params)
         .map_err(|source| BuildError::Map {

@@ -414,7 +414,6 @@ impl DreamCrcApp {
     /// streaming (fallback).
     fn raw_process(&mut self, init: &BitVec, bits: &BitVec, report: &mut RunReport) -> BitVec {
         let full = bits.len() / self.m;
-        let blocks: Vec<BitVec> = (0..full).map(|c| bits.slice(c * self.m, self.m)).collect();
 
         self.switch_profiled(UPDATE_SLOT);
         let mut x = match &self.datapath {
@@ -422,14 +421,14 @@ impl DreamCrcApp {
                 let x_t0 = derby.transform_state(init);
                 let x_t = self
                     .sim
-                    .run_crc_stream(&x_t0, blocks.iter())
+                    .run_crc_blocks(&x_t0, bits, full)
                     .expect("shape checked at build time");
                 self.switch_profiled(FINALIZE_SLOT);
                 self.sim.run_linear(&x_t).expect("shape checked")
             }
             Datapath::Dense(_) => self
                 .sim
-                .run_crc_stream_dense(init, blocks.iter())
+                .run_crc_dense_blocks(init, bits, full)
                 .expect("shape checked at build time"),
         };
 

@@ -9,7 +9,7 @@
 
 use crate::crc_app::BuildError;
 use crate::perf::{ControlModel, RunReport};
-use gf2::{BitMat, BitVec};
+use gf2::BitVec;
 use lfsr::scramble::ScramblerSpec;
 use lfsr::StateSpaceLfsr;
 use lfsr_parallel::{BlockSystem, DerbyTransform};
@@ -49,7 +49,7 @@ impl DreamScramblerApp {
         let derby = DerbyTransform::new(&block)?;
 
         // Output network over [x_t | u]: rows = [C_stack·T | D_stack].
-        let net_matrix: BitMat = derby.c_stack_t().hstack(derby.d_stack());
+        let net_matrix = derby.output_matrix(&block);
         let net = synthesize(&net_matrix, synth);
         let op = PgaOperation::scrambler("scrambler", net, derby.a_mt(), m, params).map_err(
             |source| BuildError::Map {
@@ -130,12 +130,11 @@ impl DreamScramblerApp {
         let x_t0 = self.derby.transform_state(&seed_state);
 
         let full = data.len() / self.m;
-        let blocks: Vec<BitVec> = (0..full).map(|c| data.slice(c * self.m, self.m)).collect();
 
         self.sim.switch_to(SCRAMBLER_SLOT).expect("loaded");
         let (mut out, x_t) = self
             .sim
-            .run_scrambler_stream(&x_t0, blocks.iter())
+            .run_scrambler_blocks(&x_t0, data, full)
             .expect("shape checked at build time");
 
         // Tail bits on the processor.

@@ -118,17 +118,14 @@ impl DreamSystem {
         if bits.is_empty() {
             return Ok(x_t.clone());
         }
-        let blocks: Vec<BitVec> = (0..bits.len() / m).map(|c| bits.slice(c * m, m)).collect();
+        let n = bits.len() / m;
         self.make_resident(name, 0)?;
-        self.note_feed_blocks(blocks.len() as u64);
+        self.note_feed_blocks(n as u64);
+        let fabric = self.fabric_mut_internal();
         if dense {
-            Ok(self
-                .fabric_mut_internal()
-                .run_crc_stream_dense(x_t, blocks.iter())?)
+            Ok(fabric.run_crc_dense_blocks(x_t, bits, n)?)
         } else {
-            Ok(self
-                .fabric_mut_internal()
-                .run_crc_stream(x_t, blocks.iter())?)
+            Ok(fabric.run_crc_blocks(x_t, bits, n)?)
         }
     }
 
@@ -220,12 +217,12 @@ impl DreamSystem {
         if bits.is_empty() {
             return Ok((BitVec::zeros(0), x_t.clone()));
         }
-        let blocks: Vec<BitVec> = (0..bits.len() / m).map(|c| bits.slice(c * m, m)).collect();
+        let n = bits.len() / m;
         self.make_scrambler_resident(name)?;
-        self.note_feed_blocks(blocks.len() as u64);
+        self.note_feed_blocks(n as u64);
         Ok(self
             .fabric_mut_internal()
-            .run_scrambler_stream(x_t, blocks.iter())?)
+            .run_scrambler_blocks(x_t, bits, n)?)
     }
 
     /// Finishes a scrambler stream: transduces a residual of

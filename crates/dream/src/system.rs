@@ -296,6 +296,10 @@ pub struct DreamSystem {
     ids: DreamIds,
     /// Lazily built software fallback kernels (Sarwate byte tables).
     soft: HashMap<String, SarwateCrc>,
+    /// The matrix each registered `(personality, role)` operation
+    /// computes, derived on its first scrub and kept until the
+    /// personality is replaced.
+    pristine: HashMap<(String, u8), gf2::BitMat>,
 }
 
 /// Registry handles for the DREAM layer's counters.
@@ -347,6 +351,7 @@ impl DreamSystem {
             health: HashMap::new(),
             ids,
             soft: HashMap::new(),
+            pristine: HashMap::new(),
         }
     }
 
@@ -455,36 +460,34 @@ impl DreamSystem {
         seed: u64,
         data: &BitVec,
     ) -> Result<(BitVec, RunReport), SystemError> {
-        let p = self
+        let (m, dim) = self
             .scramblers
             .get(name)
-            .cloned()
+            .map(|p| (p.m, p.derby.dim()))
             .ok_or_else(|| SystemError::UnknownPersonality { name: name.into() })?;
         if data.is_empty() {
             return Err(SystemError::EmptyInput { name: name.into() });
         }
-        check_seed(name, seed, p.derby.dim())?;
+        check_seed(name, seed, dim)?;
         let start = self.sim.counters();
         let mut report = RunReport {
             bits: data.len() as u64,
             control_cycles: self.control.msg_setup_cycles + self.control.msg_finalize_cycles,
             ..Default::default()
         };
-
-        let seed_state = BitVec::from_u64(seed, p.derby.dim());
-        let x_t0 = p.derby.transform_state(&seed_state);
-        let full = data.len() / p.m;
-        let blocks: Vec<BitVec> = (0..full).map(|c| data.slice(c * p.m, p.m)).collect();
+        let full = data.len() / m;
 
         self.ensure_scrambler_resident(name)?;
-        let (mut out, x_t) = self.sim.run_scrambler_stream(&x_t0, blocks.iter())?;
+        let p = &self.scramblers[name];
+        let x_t0 = p.derby.transform_state(&BitVec::from_u64(seed, dim));
+        let (mut out, x_t) = self.sim.run_scrambler_blocks(&x_t0, data, full)?;
 
-        let tail_len = data.len() - full * p.m;
+        let tail_len = data.len() - full * m;
         if tail_len > 0 {
             report.tail_cycles += (tail_len as u64).div_ceil(8) * self.control.tail_cycles_per_byte;
             let tail_sys = self.tails.get_mut(name).expect("registered");
             tail_sys.set_state(p.derby.anti_transform_state(&x_t));
-            let y = tail_sys.transduce(&data.slice(full * p.m, tail_len));
+            let y = tail_sys.transduce(&data.slice(full * m, tail_len));
             out = out.concat(&y);
         }
 
@@ -622,11 +625,11 @@ impl DreamSystem {
         let p = self
             .personalities
             .get(name)
-            .ok_or_else(|| SystemError::UnknownPersonality { name: name.into() })?
-            .clone();
+            .ok_or_else(|| SystemError::UnknownPersonality { name: name.into() })?;
         if data.is_empty() {
             return Err(SystemError::EmptyInput { name: name.into() });
         }
+        let (spec, m) = (p.spec, p.m);
         let start = self.sim.counters();
         let mut report = RunReport {
             bits: (data.len() * 8) as u64,
@@ -634,28 +637,27 @@ impl DreamSystem {
             ..Default::default()
         };
 
-        let bits = message_bits(&p.spec, data);
-        let init = BitVec::from_u64(p.spec.init & p.spec.mask(), p.spec.width);
-        let full = bits.len() / p.m;
-        let blocks: Vec<BitVec> = (0..full).map(|c| bits.slice(c * p.m, p.m)).collect();
+        let bits = message_bits(&spec, data);
+        let init = BitVec::from_u64(spec.init & spec.mask(), spec.width);
+        let x_t0 = p.derby.as_ref().map(|d| d.transform_state(&init));
+        let full = bits.len() / m;
 
         self.ensure_resident(name, 0)?;
-        let mut x = match &p.derby {
-            Some(derby) => {
-                let x_t0 = derby.transform_state(&init);
-                let x_t = self.sim.run_crc_stream(&x_t0, blocks.iter())?;
+        let mut x = match x_t0 {
+            Some(x_t0) => {
+                let x_t = self.sim.run_crc_blocks(&x_t0, &bits, full)?;
                 self.ensure_resident(name, 1)?;
                 self.sim.run_linear(&x_t)?
             }
-            None => self.sim.run_crc_stream_dense(&init, blocks.iter())?,
+            None => self.sim.run_crc_dense_blocks(&init, &bits, full)?,
         };
 
-        let tail_len = bits.len() - full * p.m;
+        let tail_len = bits.len() - full * m;
         if tail_len > 0 {
             report.tail_cycles += (tail_len as u64).div_ceil(8) * self.control.tail_cycles_per_byte;
             let tail_sys = self.tails.get_mut(name).expect("registered");
             tail_sys.set_state(x);
-            tail_sys.absorb(&bits.slice(full * p.m, tail_len));
+            tail_sys.absorb(&bits.slice(full * m, tail_len));
             x = tail_sys.state().clone();
         }
 
@@ -667,10 +669,10 @@ impl DreamSystem {
         };
 
         let mut out = x.to_u64();
-        if p.spec.refout {
-            out = reflect(out, p.spec.width);
+        if spec.refout {
+            out = reflect(out, spec.width);
         }
-        Ok(((out ^ p.spec.xorout) & p.spec.mask(), report))
+        Ok(((out ^ spec.xorout) & spec.mask(), report))
     }
 }
 
@@ -767,8 +769,11 @@ impl DreamSystem {
                 _ => self.scramblers.get(&state.personality).map(|p| &p.op),
             };
             let Some(pristine) = pristine else { continue };
-            let expected = pristine.network().to_matrix();
-            if let Err(error) = verify::check_network(resident.network(), &expected) {
+            let expected = self
+                .pristine
+                .entry((state.personality.clone(), state.role))
+                .or_insert_with(|| pristine.network().to_matrix());
+            if let Err(error) = verify::check_network(resident.network(), expected) {
                 findings.push(ScrubFinding {
                     slot,
                     personality: state.personality.clone(),
@@ -1024,6 +1029,7 @@ impl DreamSystem {
         self.evict(&p.name);
         self.tails.insert(p.name.clone(), tail);
         self.soft.remove(&p.name);
+        self.pristine.retain(|(name, _), _| *name != p.name);
         self.personalities.insert(p.name.clone(), p);
         self.sim.obs_mut().registry.inc(self.ids.replacements);
         Ok(())
@@ -1247,7 +1253,7 @@ pub(crate) mod tests {
         let serial = StateSpaceLfsr::additive_scrambler(&sspec.polynomial()).unwrap();
         let block = BlockSystem::new(&serial, 32).unwrap();
         let derby = DerbyTransform::new(&block).unwrap();
-        let net_matrix = derby.c_stack_t().hstack(derby.d_stack());
+        let net_matrix = derby.output_matrix(&block);
         let net = synthesize(&net_matrix, SynthOptions::default());
         let op =
             PgaOperation::scrambler("scr", net, derby.a_mt(), 32, &PicogaParams::dream()).unwrap();
@@ -1304,7 +1310,7 @@ pub(crate) mod tests {
         let serial = StateSpaceLfsr::additive_scrambler(&sspec.polynomial()).unwrap();
         let block = BlockSystem::new(&serial, m).unwrap();
         let derby = DerbyTransform::new(&block).unwrap();
-        let net_matrix = derby.c_stack_t().hstack(derby.d_stack());
+        let net_matrix = derby.output_matrix(&block);
         let net = synthesize(&net_matrix, SynthOptions::default());
         let op =
             PgaOperation::scrambler("scr", net, derby.a_mt(), m, &PicogaParams::dream()).unwrap();

@@ -234,12 +234,9 @@ impl BitVec {
 
     /// Concatenates `self` (low bits) with `other` (high bits).
     pub fn concat(&self, other: &BitVec) -> Self {
-        let mut out = BitVec::zeros(self.len + other.len);
-        for i in self.iter_ones() {
-            out.set(i, true);
-        }
-        for i in other.iter_ones() {
-            out.set(self.len + i, true);
+        let mut out = self.resized(self.len + other.len);
+        for (wi, &w) in other.words.iter().enumerate() {
+            out.xor_word_at(self.len + wi * 64, w);
         }
         out
     }
@@ -251,25 +248,75 @@ impl BitVec {
     /// Panics if the range exceeds the vector length.
     pub fn slice(&self, start: usize, count: usize) -> Self {
         assert!(start + count <= self.len, "slice out of range");
-        let mut out = BitVec::zeros(count);
-        for i in 0..count {
-            if self.get(start + i) {
-                out.set(i, true);
-            }
-        }
-        out
+        let words = (0..words_for(count))
+            .map(|wi| self.word_at(start + wi * 64))
+            .collect();
+        BitVec::from_words(words, count)
     }
 
     /// Returns a copy resized to `new_len` bits (truncating or zero-padding).
     pub fn resized(&self, new_len: usize) -> Self {
-        let mut out = BitVec::zeros(new_len);
-        let n = self.len.min(new_len);
-        for i in 0..n {
-            if self.get(i) {
-                out.set(i, true);
+        let mut words = self.words.clone();
+        words.resize(words_for(new_len), 0);
+        BitVec::from_words(words, new_len)
+    }
+
+    /// The 64 bits `[start, start + 64)` as one word, bit `start` in the
+    /// least significant position. Bits at or beyond `len` read as 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `start > len`.
+    #[inline]
+    pub fn word_at(&self, start: usize) -> u64 {
+        assert!(
+            start <= self.len,
+            "word start {start} out of range {}",
+            self.len
+        );
+        let (wi, sh) = (start / 64, start % 64);
+        let lo = self.words.get(wi).copied().unwrap_or(0);
+        if sh == 0 {
+            return lo;
+        }
+        let hi = self.words.get(wi + 1).copied().unwrap_or(0);
+        (lo >> sh) | (hi << (64 - sh))
+    }
+
+    /// XORs `value` into bits `[start, start + 64)`, bit 0 of `value`
+    /// landing on bit `start`. Bits that would land at or beyond `len`
+    /// are dropped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `start > len`.
+    #[inline]
+    pub fn xor_word_at(&mut self, start: usize, value: u64) {
+        assert!(
+            start <= self.len,
+            "word start {start} out of range {}",
+            self.len
+        );
+        let (wi, sh) = (start / 64, start % 64);
+        if let Some(w) = self.words.get_mut(wi) {
+            *w ^= value << sh;
+        }
+        if sh != 0 {
+            if let Some(w) = self.words.get_mut(wi + 1) {
+                *w ^= value >> (64 - sh);
             }
         }
-        out
+        self.mask_tail();
+    }
+
+    /// Builds a `len`-bit vector from LSB-first words: bit `i` is bit
+    /// `i % 64` of `words[i / 64]`. Missing words read as zero; words and
+    /// bits beyond `len` are dropped.
+    pub fn from_words(mut words: Vec<u64>, len: usize) -> Self {
+        words.resize(words_for(len), 0);
+        let mut v = BitVec { len, words };
+        v.mask_tail();
+        v
     }
 
     /// Index of the highest set bit, or `None` if the vector is zero.
@@ -304,13 +351,16 @@ impl BitVec {
     /// encoding. Bytes beyond `ceil(len/8)` and bits beyond `len` are
     /// ignored, so a truncated-then-padded buffer round-trips exactly.
     pub fn from_le_bytes(bytes: &[u8], len: usize) -> Self {
-        let mut out = BitVec::zeros(len);
-        for i in 0..len {
-            if bytes.get(i / 8).is_some_and(|b| (b >> (i % 8)) & 1 == 1) {
-                out.set(i, true);
-            }
-        }
-        out
+        let bytes = &bytes[..bytes.len().min(len.div_ceil(8))];
+        let words = bytes
+            .chunks(8)
+            .map(|c| {
+                let mut w = [0u8; 8];
+                w[..c.len()].copy_from_slice(c);
+                u64::from_le_bytes(w)
+            })
+            .collect();
+        BitVec::from_words(words, len)
     }
 
     fn mask_tail(&mut self) {

@@ -119,3 +119,72 @@ proptest! {
         prop_assert!(mp.rem(&p).is_zero());
     }
 }
+
+/// Bit `i` of a little-endian byte buffer, 0 past its end.
+fn byte_bit(bytes: &[u8], i: usize) -> bool {
+    bytes.get(i / 8).is_some_and(|b| (b >> (i % 8)) & 1 == 1)
+}
+
+/// The word-at-a-time vector operations against their bit-at-a-time
+/// definitions; `r1` and `r2` pick the offsets and lengths.
+fn word_ops_agree(a: &[bool], b: &[bool], r1: u64, r2: u64, bytes: &[u8]) {
+    let v = BitVec::from_bits(a.iter().copied());
+    let w = BitVec::from_bits(b.iter().copied());
+    let start = (r1 as usize) % (v.len() + 1);
+    let count = (r2 as usize) % (v.len() - start + 1);
+
+    let slice = BitVec::from_bits((start..start + count).map(|i| v.get(i)));
+    assert_eq!(v.slice(start, count), slice);
+
+    let concat = BitVec::from_bits(a.iter().chain(b).copied());
+    assert_eq!(v.concat(&w), concat);
+
+    let new_len = (r2 as usize) % 320;
+    let resized = BitVec::from_bits((0..new_len).map(|i| i < v.len() && v.get(i)));
+    assert_eq!(v.resized(new_len), resized);
+
+    let len = (r1 as usize) % (bytes.len() * 8 + 24);
+    let decoded = BitVec::from_bits((0..len).map(|i| byte_bit(bytes, i)));
+    assert_eq!(BitVec::from_le_bytes(bytes, len), decoded);
+
+    let word = (0..64).fold(0u64, |acc, i| {
+        acc | (u64::from(start + i < v.len() && v.get(start + i)) << i)
+    });
+    assert_eq!(v.word_at(start), word);
+
+    let mut x = v.clone();
+    x.xor_word_at(start, r2);
+    let xored = BitVec::from_bits(
+        (0..v.len())
+            .map(|i| v.get(i) ^ (i >= start && i - start < 64 && (r2 >> (i - start)) & 1 == 1)),
+    );
+    assert_eq!(x, xored);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn word_ops_match_bitwise_definitions(
+        a in proptest::collection::vec(any::<bool>(), 0..300),
+        b in proptest::collection::vec(any::<bool>(), 0..300),
+        r1 in any::<u64>(),
+        r2 in any::<u64>(),
+        bytes in proptest::collection::vec(any::<u8>(), 0..48),
+    ) {
+        word_ops_agree(&a, &b, r1, r2, &bytes);
+    }
+}
+
+/// The same definitions at the edges random lengths rarely hit: empty
+/// vectors and offsets on either side of a word boundary.
+#[test]
+fn word_ops_match_bitwise_definitions_at_edges() {
+    for len in [0, 1, 63, 64, 65, 128, 129] {
+        let a: Vec<bool> = (0..len).map(|i| i % 3 != 1).collect();
+        for r in [0, 1, 62, 63, 64, 65, 127, 128, 129] {
+            word_ops_agree(&a, &a[..len / 2], r, r * 7 + 1, &[0xA5; 17]);
+            word_ops_agree(&a, &[], r, 0, &[]);
+        }
+    }
+}

@@ -66,20 +66,12 @@ impl RawCrcCore for SerialCore {
 /// honouring the spec's input reflection (LSB-first per byte when
 /// `refin`, MSB-first otherwise).
 pub fn message_bits(spec: &CrcSpec, data: &[u8]) -> BitVec {
-    let mut bits = BitVec::zeros(data.len() * 8);
-    for (i, &byte) in data.iter().enumerate() {
-        for k in 0..8 {
-            let bit = if spec.refin {
-                (byte >> k) & 1 == 1
-            } else {
-                (byte >> (7 - k)) & 1 == 1
-            };
-            if bit {
-                bits.set(i * 8 + k, true);
-            }
-        }
+    let len = data.len() * 8;
+    if spec.refin {
+        return BitVec::from_le_bytes(data, len);
     }
-    bits
+    let reversed: Vec<u8> = data.iter().map(|b| b.reverse_bits()).collect();
+    BitVec::from_le_bytes(&reversed, len)
 }
 
 /// A complete CRC algorithm: a [`CrcSpec`] driving any [`RawCrcCore`].

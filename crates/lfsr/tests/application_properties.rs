@@ -98,3 +98,23 @@ proptest! {
         prop_assert_eq!(rx.despread(&tx.spread(&data)), data);
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The byte-wise message staging against its bit-at-a-time
+    /// definition: MSB-first per byte unless the spec reflects input.
+    #[test]
+    fn message_bits_match_the_bitwise_definition(
+        data in proptest::collection::vec(any::<u8>(), 0..80),
+        spec_idx in 0usize..CATALOG.len(),
+    ) {
+        let spec = &CATALOG[spec_idx];
+        let want = BitVec::from_bits((0..data.len() * 8).map(|i| {
+            let k = i % 8;
+            let shift = if spec.refin { k } else { 7 - k };
+            (data[i / 8] >> shift) & 1 == 1
+        }));
+        prop_assert_eq!(lfsr::crc::message_bits(spec, &data), want);
+    }
+}

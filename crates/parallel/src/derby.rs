@@ -37,6 +37,11 @@ pub struct DerbyComplexity {
 
 /// The transformed block system: companion feedback, pipelined input
 /// network, and the anti-transform for reading results back.
+///
+/// A transducer's output network is not kept here: it is `(out·M)` rows
+/// that a CRC never reads and a scrambler needs only while its network is
+/// synthesized, so [`DerbyTransform::output_matrix`] derives it from the
+/// block system on demand.
 #[derive(Debug, Clone)]
 pub struct DerbyTransform {
     m: usize,
@@ -45,9 +50,6 @@ pub struct DerbyTransform {
     a_mt: BitMat,
     /// `T⁻¹·B_M`, columns in stream order (see `lookahead` module docs).
     b_mt: BitMat,
-    /// `C_stack·T` for transducers.
-    c_stack_t: BitMat,
-    d_stack: BitMat,
     f: BitVec,
 }
 
@@ -111,15 +113,12 @@ impl DerbyTransform {
         let a_mt = t_inv.mul(block.a_m()).mul(&t);
         debug_assert!(a_mt.is_companion(), "Krylov similarity must be companion");
         let b_mt = t_inv.mul(block.b_m());
-        let c_stack_t = block.c_stack().mul(&t);
         Some(DerbyTransform {
             m: block.m(),
             t,
             t_inv,
             a_mt,
             b_mt,
-            c_stack_t,
-            d_stack: block.d_stack().clone(),
             f: f.clone(),
         })
     }
@@ -160,14 +159,19 @@ impl DerbyTransform {
         &self.b_mt
     }
 
-    /// The transformed stacked output matrix `C_stack·T`.
-    pub fn c_stack_t(&self) -> &BitMat {
-        &self.c_stack_t
-    }
-
-    /// The (untransformed) feed-through matrix.
-    pub fn d_stack(&self) -> &BitMat {
-        &self.d_stack
+    /// The transformed output network `[C_stack·T | D_stack]` of `block`,
+    /// the system this transform was built from: output bit `i` of a
+    /// block step is row `i` applied to `[x_t | u]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` has another look-ahead factor or state dimension.
+    pub fn output_matrix(&self, block: &BlockSystem) -> BitMat {
+        assert!(
+            block.m() == self.m && block.dim() == self.dim(),
+            "output matrix of a different block system"
+        );
+        block.c_stack().mul(&self.t).hstack(block.d_stack())
     }
 
     /// Complexity figures for this transform.
@@ -235,18 +239,17 @@ impl DerbyTransform {
     }
 
     /// One block step entirely in the transformed domain, returning the
-    /// next transformed state and the block's output bits.
+    /// next transformed state (the block's output bits are
+    /// [`DerbyTransform::output_matrix`] applied to `[x_t | block]`).
     ///
     /// # Panics
     ///
     /// Panics if `block.len() != M`.
-    pub fn step_block(&self, x_t: &BitVec, block: &BitVec) -> (BitVec, BitVec) {
+    pub fn step_state(&self, x_t: &BitVec, block: &BitVec) -> BitVec {
         assert_eq!(block.len(), self.m, "block must be exactly M bits");
         let mut next = self.a_mt.mul_vec(x_t);
         next.xor_assign(&self.b_mt.mul_vec(block));
-        let mut y = self.c_stack_t.mul_vec(x_t);
-        y.xor_assign(&self.d_stack.mul_vec(block));
-        (next, y)
+        next
     }
 }
 
@@ -289,8 +292,7 @@ impl RawCrcCore for DerbyCore {
         let mut x_t = self.derby.transform_state(state);
         for c in 0..full {
             let block = bits.slice(c * m, m);
-            let (next, _) = self.derby.step_block(&x_t, &block);
-            x_t = next;
+            x_t = self.derby.step_state(&x_t, &block);
         }
         let x = self.derby.anti_transform_state(&x_t);
         let tail_len = bits.len() - full * m;
@@ -432,12 +434,13 @@ mod tests {
         let base = AdditiveScrambler::new(sspec).unwrap();
         let block = BlockSystem::new(base.system(), 32).unwrap();
         let derby = DerbyTransform::new(&block).unwrap();
+        let outputs = derby.output_matrix(&block);
         let mut x_t = derby.transform_state(base.system().state());
         let mut out = BitVec::zeros(0);
         for c in 0..3 {
-            let (next, y) = derby.step_block(&x_t, &data.slice(c * 32, 32));
-            x_t = next;
-            out = out.concat(&y);
+            let u = data.slice(c * 32, 32);
+            out = out.concat(&outputs.mul_vec(&x_t.concat(&u)));
+            x_t = derby.step_state(&x_t, &u);
         }
         assert_eq!(out, expected);
     }

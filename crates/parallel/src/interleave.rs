@@ -82,8 +82,7 @@ impl InterleavedCrc {
     ///
     /// Panics if `msg` is out of range or the block is not M bits.
     pub fn feed_block(&mut self, msg: usize, block: &BitVec) {
-        let (next, _) = self.derby.step_block(&self.states[msg], block);
-        self.states[msg] = next;
+        self.states[msg] = self.derby.step_state(&self.states[msg], block);
     }
 
     /// Anti-transforms message `msg`'s state into the plain register

@@ -481,12 +481,13 @@ mod multiplicative_tests {
         serial.set_state(seed.clone());
         let expected = serial.transduce(&data.slice(0, 132));
 
+        let outputs = derby.output_matrix(&bs);
         let mut x_t = derby.transform_state(&seed);
         let mut out = BitVec::zeros(0);
         for c in 0..2 {
-            let (next, y) = derby.step_block(&x_t, &data.slice(c * m, m));
-            x_t = next;
-            out = out.concat(&y);
+            let u = data.slice(c * m, m);
+            out = out.concat(&outputs.mul_vec(&x_t.concat(&u)));
+            x_t = derby.step_state(&x_t, &u);
         }
         assert_eq!(out, expected);
     }

@@ -19,6 +19,7 @@ mod arch;
 mod fault;
 mod op;
 mod sim;
+mod tape;
 mod wavefront;
 
 pub use arch::PicogaParams;

@@ -184,6 +184,26 @@ impl CompanionFeedback {
         }
         next
     }
+
+    /// [`CompanionFeedback::apply`] on packed words: `x` and `p` hold the
+    /// `k` state and input bits as `k.div_ceil(64)` LSB-first words, and
+    /// `x` is updated in place.
+    pub(crate) fn step_words(&self, x: &mut [u64], p: &[u64]) {
+        let k = self.k;
+        let fold = ((x[(k - 1) / 64] >> ((k - 1) % 64)) & 1).wrapping_neg();
+        let mut carry = 0;
+        for w in x.iter_mut() {
+            let out = *w >> 63;
+            *w = (*w << 1) | carry;
+            carry = out;
+        }
+        if !k.is_multiple_of(64) {
+            x[(k - 1) / 64] &= (1 << (k % 64)) - 1;
+        }
+        for ((w, &pi), &gi) in x.iter_mut().zip(p).zip(self.g_col.words()) {
+            *w ^= pi ^ (gi & fold);
+        }
+    }
 }
 
 /// Internal shape of an operation.
@@ -816,6 +836,28 @@ mod tests {
         x.set(31, false);
         let expect = &a.mul_vec(&x) ^ &p;
         assert_eq!(fb.apply(&x, &p), expect);
+    }
+
+    #[test]
+    fn word_step_matches_bitwise_apply() {
+        let mut r = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            r ^= r << 13;
+            r ^= r >> 7;
+            r ^= r << 17;
+            r
+        };
+        for k in [3, 7, 16, 32, 63, 64, 65, 100] {
+            let g_col = BitVec::from_words(vec![next(), next()], k);
+            let fb = CompanionFeedback { k, g_col, cells: 1 };
+            for _ in 0..20 {
+                let x = BitVec::from_words(vec![next(), next()], k);
+                let p = BitVec::from_words(vec![next(), next()], k);
+                let mut w = x.words().to_vec();
+                fb.step_words(&mut w, p.words());
+                assert_eq!(BitVec::from_words(w, k), fb.apply(&x, &p), "k={k}");
+            }
+        }
     }
 
     #[test]

@@ -14,11 +14,13 @@
 
 use crate::arch::PicogaParams;
 use crate::fault::{ConfigFault, InjectError, LoadCorruption, LoadFault};
-use crate::op::{PgaOperation, Placement};
+use crate::op::{OpStats, PgaOperation};
+use crate::tape::{gather, scatter, Tape};
 use gf2::BitVec;
 use obs::{EventKind, ObsHub};
 use std::fmt;
-use xornet::XorNetwork;
+#[cfg(test)]
+use {crate::op::Placement, xornet::XorNetwork};
 
 /// Errors from driving the simulator.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -103,7 +105,7 @@ impl CycleCounters {
 #[derive(Debug, Clone)]
 pub struct PicogaSim {
     params: PicogaParams,
-    contexts: Vec<Option<PgaOperation>>,
+    contexts: Vec<Option<Context>>,
     active: Option<usize>,
     /// The observability spine: metrics registry (including the cycle
     /// counters), cycle-stamped event tracer, and fabric profiler. The
@@ -117,14 +119,100 @@ pub struct PicogaSim {
     /// Count of `load_context` calls since construction (the 0-based
     /// index [`LoadCorruption::load_index`] refers to).
     loads_seen: u64,
+    /// Words the tapes evaluate into, reused across calls.
+    lanes: Lanes,
 }
 
-/// Evaluates the gates of `net` row-by-row following `placement`, starting
-/// from primary input values, returning all signal values. Functionally the
-/// row order is immaterial (the placement is topological); it is kept
-/// explicit so the structure mirrors the hardware — and so physical
-/// stuck-at cell faults (`stuck`: gate index → forced value, resolved
-/// from physical coordinates by the caller) land on the right gate.
+/// One resident context: the configuration as stored, and the tape the
+/// host runs for it (recompiled whenever the configuration or the
+/// stuck-cell set changes).
+#[derive(Debug, Clone)]
+struct Context {
+    op: PgaOperation,
+    tape: Tape,
+}
+
+/// Reusable buffers of the tape evaluation: one word per signal, and the
+/// per-block words a chunk's outputs or states are unpacked into.
+#[derive(Debug, Clone, Default)]
+struct Lanes {
+    values: Vec<u64>,
+    rows: Vec<u64>,
+}
+
+/// Most blocks one tape pass evaluates: one per bit of a word.
+const CHUNK: usize = 64;
+
+/// The first `k` bits of `v` as `k.div_ceil(64)` LSB-first words.
+fn state_words(v: &BitVec, k: usize) -> Vec<u64> {
+    v.resized(k).words().to_vec()
+}
+
+/// Collects `blocks` up to the first one whose width is not `width`,
+/// which is returned as the error that ends the stream there.
+fn valid_prefix<'a>(
+    blocks: impl IntoIterator<Item = &'a BitVec>,
+    width: usize,
+) -> (Vec<&'a BitVec>, Option<SimError>) {
+    let mut ok = Vec::new();
+    for b in blocks {
+        if b.len() != width {
+            let e = SimError::InputWidthMismatch {
+                got: b.len(),
+                expected: width,
+            };
+            return (ok, Some(e));
+        }
+        ok.push(b);
+    }
+    (ok, None)
+}
+
+/// Feeds `n` blocks through a feed-forward tape 64 at a time: `row(b, g)`
+/// returns word `g` of block `b`'s input, and `sink(b, p)` receives block
+/// `b`'s first `width` outputs as words, in block order.
+fn feed_forward(
+    tape: &Tape,
+    lanes: &mut Lanes,
+    n: usize,
+    width: usize,
+    row: impl Fn(usize, usize) -> u64,
+    mut sink: impl FnMut(usize, &[u64]),
+) {
+    let ww = width.div_ceil(64);
+    tape.prepare(&mut lanes.values);
+    lanes.rows.resize(CHUNK * ww, 0);
+    for c0 in (0..n).step_by(CHUNK) {
+        let cn = (n - c0).min(CHUNK);
+        gather(&mut lanes.values[..tape.n_inputs()], cn, |j, g| {
+            row(c0 + j, g)
+        });
+        tape.run(&mut lanes.values);
+        let (values, rows) = (&lanes.values, &mut lanes.rows);
+        scatter(
+            width,
+            cn,
+            |i| tape.output(values, i),
+            |j, g, w| {
+                rows[j * ww + g] = w;
+            },
+        );
+        for j in 0..cn {
+            sink(c0 + j, &lanes.rows[j * ww..(j + 1) * ww]);
+        }
+    }
+}
+
+/// Evaluates the gates of `net` row by row following `placement`, from a
+/// zeroed value buffer, one input vector at a time — the evaluator the
+/// simulator ran before it compiled tapes, kept as the oracle they are
+/// tested against. Row order is *not* immaterial: the placement is
+/// topological only while the configuration is pristine, and a wire flip
+/// that reads a gate placed in a later row reads it as 0 here, as on the
+/// fabric. Physical stuck-at cell faults (`stuck`: gate index → forced
+/// value, resolved from physical coordinates by [`stuck_gates`]) land on
+/// the right gate.
+#[cfg(test)]
 fn eval_by_rows(
     net: &XorNetwork,
     placement: &Placement,
@@ -150,6 +238,7 @@ fn eval_by_rows(
 
 /// Resolves physical stuck-cell coordinates to gate indices under one
 /// placement (cells holding no gate of this operation are harmless).
+#[cfg(test)]
 fn stuck_gates(stuck: &[(usize, usize, bool)], placement: &Placement) -> Vec<(usize, bool)> {
     stuck
         .iter()
@@ -163,6 +252,7 @@ fn stuck_gates(stuck: &[(usize, usize, bool)], placement: &Placement) -> Vec<(us
         .collect()
 }
 
+#[cfg(test)]
 fn outputs_from(net: &XorNetwork, values: &[bool]) -> BitVec {
     let mut out = BitVec::zeros(net.outputs().len());
     for (i, o) in net.outputs().iter().enumerate() {
@@ -191,6 +281,7 @@ impl PicogaSim {
             stuck: Vec::new(),
             pending_load_faults: Vec::new(),
             loads_seen: 0,
+            lanes: Lanes::default(),
         }
     }
 
@@ -245,7 +336,10 @@ impl PicogaSim {
     /// The operation resident in context `slot`, if any — read-only
     /// access for inspection and static verification of loaded contexts.
     pub fn context(&self, slot: usize) -> Option<&PgaOperation> {
-        self.contexts.get(slot).and_then(Option::as_ref)
+        self.contexts
+            .get(slot)
+            .and_then(Option::as_ref)
+            .map(|c| &c.op)
     }
 
     /// Loads an operation into a context slot, charging the off-fabric
@@ -285,7 +379,8 @@ impl PicogaSim {
                 i += 1;
             }
         }
-        self.contexts[slot] = Some(op);
+        let tape = Tape::compile(op.network(), op.placement(), &self.stuck);
+        self.contexts[slot] = Some(Context { op, tape });
         self.obs.registry.add(
             self.obs.cycles.context_load,
             self.params.context_load_cycles,
@@ -313,16 +408,12 @@ impl PicogaSim {
                 gate,
                 pin,
                 new_signal,
-            } => self
-                .context_mut_for_fault(slot)?
-                .corrupt_wire(gate, pin, new_signal),
+            } => self.corrupt_context(slot, |op| op.corrupt_wire(gate, pin, new_signal)),
             ConfigFault::TapFlip {
                 slot,
                 output,
                 new_tap,
-            } => self
-                .context_mut_for_fault(slot)?
-                .corrupt_output_tap(output, new_tap),
+            } => self.corrupt_context(slot, |op| op.corrupt_output_tap(output, new_tap)),
             ConfigFault::StuckCell { row, cell, value } => {
                 if row >= self.params.rows {
                     return Err(InjectError::BadCoordinate {
@@ -343,21 +434,38 @@ impl PicogaSim {
                 } else {
                     self.stuck.push((row, cell, value));
                 }
+                self.recompile_all();
                 Ok(())
             }
         }
     }
 
-    fn context_mut_for_fault(&mut self, slot: usize) -> Result<&mut PgaOperation, InjectError> {
+    /// Applies an SEU to the configuration resident in `slot` and
+    /// recompiles its tape.
+    fn corrupt_context(
+        &mut self,
+        slot: usize,
+        corrupt: impl FnOnce(&mut PgaOperation) -> Result<(), InjectError>,
+    ) -> Result<(), InjectError> {
         if slot >= self.contexts.len() {
             return Err(InjectError::BadSlot {
                 slot,
                 contexts: self.contexts.len(),
             });
         }
-        self.contexts[slot]
+        let ctx = self.contexts[slot]
             .as_mut()
-            .ok_or(InjectError::EmptySlot { slot })
+            .ok_or(InjectError::EmptySlot { slot })?;
+        corrupt(&mut ctx.op)?;
+        ctx.tape = Tape::compile(ctx.op.network(), ctx.op.placement(), &self.stuck);
+        Ok(())
+    }
+
+    /// Recompiles every resident tape after the stuck-cell set changed.
+    fn recompile_all(&mut self) {
+        for ctx in self.contexts.iter_mut().flatten() {
+            ctx.tape = Tape::compile(ctx.op.network(), ctx.op.placement(), &self.stuck);
+        }
     }
 
     /// Arms a corruption against a future context load (see
@@ -400,6 +508,7 @@ impl PicogaSim {
     /// re-placement and software-fallback rungs exist for).
     pub fn clear_stuck_cells(&mut self) {
         self.stuck.clear();
+        self.recompile_all();
     }
 
     /// Makes `slot` the active context, charging the 2-cycle exchange when
@@ -429,11 +538,26 @@ impl PicogaSim {
         Ok(())
     }
 
-    fn active_op(&self) -> Result<&PgaOperation, SimError> {
+    /// The active context and the reusable lanes, borrowed together.
+    fn active_parts(&mut self) -> Result<(&Context, &mut Lanes), SimError> {
         let slot = self.active.ok_or(SimError::NoActiveContext)?;
-        self.contexts[slot]
+        let ctx = self.contexts[slot]
             .as_ref()
-            .ok_or(SimError::EmptySlot { slot })
+            .ok_or(SimError::EmptySlot { slot })?;
+        Ok((ctx, &mut self.lanes))
+    }
+
+    /// Charges a stream of `n` blocks at II = 1: one fill plus one cycle
+    /// per further block (nothing for an empty stream).
+    fn charge_stream(&mut self, stats: OpStats, n: u64) {
+        if n > 0 {
+            self.obs
+                .registry
+                .add(self.obs.cycles.compute, stats.latency + (n - 1));
+            self.obs
+                .profiler
+                .record_stream(stats.rows, stats.latency, n);
+        }
     }
 
     /// Runs one issue of the active **linear** operation, charging its full
@@ -443,25 +567,32 @@ impl PicogaSim {
     ///
     /// Shape/width mismatches per [`SimError`].
     pub fn run_linear(&mut self, inputs: &BitVec) -> Result<BitVec, SimError> {
-        let op = self.active_op()?;
-        if !op.is_linear() {
+        let (ctx, lanes) = self.active_parts()?;
+        if !ctx.op.is_linear() {
             return Err(SimError::WrongOpShape { expected: "linear" });
         }
-        let net = op.network();
-        if inputs.len() != net.n_inputs() {
+        let n_in = ctx.tape.n_inputs();
+        if inputs.len() != n_in {
             return Err(SimError::InputWidthMismatch {
                 got: inputs.len(),
-                expected: net.n_inputs(),
+                expected: n_in,
             });
         }
-        let stats = op.stats();
-        let stuck = stuck_gates(&self.stuck, op.placement());
-        let values = eval_by_rows(net, op.placement(), inputs, &stuck);
-        let out = outputs_from(net, &values);
+        let width = ctx.tape.n_outputs();
+        let mut out = vec![0u64; width.div_ceil(64)];
+        feed_forward(
+            &ctx.tape,
+            lanes,
+            1,
+            width,
+            |_, g| inputs.words()[g],
+            |_, p| out.copy_from_slice(p),
+        );
+        let stats = ctx.op.stats();
         let latency = stats.latency.max(1);
         self.obs.registry.add(self.obs.cycles.compute, latency);
         self.obs.profiler.record_stream(stats.rows, latency, 1);
-        Ok(out)
+        Ok(BitVec::from_words(out, width))
     }
 
     /// Physical self-test of the active operation: evaluates the zero
@@ -477,6 +608,10 @@ impl PicogaSim {
     /// flips — moves the matrix itself and is the scrub's job; this
     /// probe catches what the scrub structurally cannot.)
     ///
+    /// The `n + 1` vectors run 64 to a tape pass, and the configured
+    /// matrix's columns come from the configuration's own gate-order
+    /// evaluation of the same lanes.
+    ///
     /// Charges one latency per evaluation: self-checking is not free.
     ///
     /// Returns `true` when the datapath matches the configuration.
@@ -485,35 +620,41 @@ impl PicogaSim {
     ///
     /// [`SimError::NoActiveContext`] / [`SimError::EmptySlot`].
     pub fn affine_probe(&mut self) -> Result<bool, SimError> {
-        let op = self.active_op()?;
-        let net = op.network().clone();
-        let placement = op.placement().clone();
-        let stats = op.stats();
-        let latency = stats.latency.max(1);
-        let stuck = stuck_gates(&self.stuck, &placement);
+        let (ctx, lanes) = self.active_parts()?;
+        let (net, tape) = (ctx.op.network(), &ctx.tape);
+        let stats = ctx.op.stats();
         let n = net.n_inputs();
-        let expected = net.to_matrix();
+        // Lane j of the pass starting at `lo` drives vector lo + j:
+        // vector 0 is the zero vector, vector i + 1 the basis vector e_i.
+        let mut inputs = vec![0u64; n];
+        let mut expected = Vec::new();
+        tape.prepare(&mut lanes.values);
+        let mut ok = true;
+        for lo in (0..=n).step_by(CHUNK) {
+            for (i, w) in inputs.iter_mut().enumerate() {
+                *w = if (lo..lo + CHUNK).contains(&(i + 1)) {
+                    1 << (i + 1 - lo)
+                } else {
+                    0
+                };
+            }
+            net.evaluate_lanes(&inputs, &mut expected);
+            lanes.values[..n].copy_from_slice(&inputs);
+            tape.run(&mut lanes.values);
+            ok = (0..net.outputs().len())
+                .all(|o| tape.output(&lanes.values, o) == net.output_lanes(&expected, o));
+            if !ok {
+                break;
+            }
+        }
+        let latency = stats.latency.max(1);
         self.obs
             .registry
             .add(self.obs.cycles.compute, latency * (n as u64 + 1));
         self.obs
             .profiler
             .record_iterative(stats.rows, latency, n as u64 + 1);
-
-        let zero = BitVec::zeros(n);
-        let values = eval_by_rows(&net, &placement, &zero, &stuck);
-        if outputs_from(&net, &values) != BitVec::zeros(net.outputs().len()) {
-            return Ok(false);
-        }
-        for i in 0..n {
-            let mut e = BitVec::zeros(n);
-            e.set(i, true);
-            let values = eval_by_rows(&net, &placement, &e, &stuck);
-            if outputs_from(&net, &values) != expected.column(i) {
-                return Ok(false);
-            }
-        }
-        Ok(true)
+        Ok(ok)
     }
 
     /// Streams `blocks` through the active **CRC update** operation,
@@ -530,41 +671,65 @@ impl PicogaSim {
     where
         I: IntoIterator<Item = &'a BitVec>,
     {
+        let width = self.crc_update_width()?;
+        let (blocks, err) = valid_prefix(blocks, width);
+        if let Some(e) = err {
+            return Err(e);
+        }
+        self.crc_stream(x_t, blocks.len(), |b, g| blocks[b].words()[g])
+    }
+
+    /// [`PicogaSim::run_crc_stream`] over the first `n` M-bit blocks of
+    /// a packed bit stream (block `b` is bits `[b·M, (b+1)·M)` of
+    /// `bits`), read a word at a time.
+    ///
+    /// # Errors
+    ///
+    /// Shape mismatches per [`SimError`];
+    /// [`SimError::InputWidthMismatch`] when `bits` is shorter than
+    /// `n` blocks.
+    pub fn run_crc_blocks(
+        &mut self,
+        x_t: &BitVec,
+        bits: &BitVec,
+        n: usize,
+    ) -> Result<BitVec, SimError> {
+        let m = self.crc_update_width()?;
+        check_packed(bits, n, m)?;
+        self.crc_stream(x_t, n, |b, g| bits.word_at(b * m + 64 * g))
+    }
+
+    /// The block width M of the active CRC update operation.
+    fn crc_update_width(&self) -> Result<usize, SimError> {
         let op = self.active_op()?;
         if !op.is_crc_update() {
             return Err(SimError::WrongOpShape {
                 expected: "CRC update",
             });
         }
-        let fb = op.feedback().expect("crc update has feedback").clone();
-        let net = op.network().clone();
-        let placement = op.placement().clone();
-        let stats = op.stats();
-        let latency = stats.latency;
-        let stuck = stuck_gates(&self.stuck, &placement);
+        Ok(op.network().n_inputs())
+    }
 
-        let mut state = x_t.clone();
-        let mut n: u64 = 0;
-        for block in blocks {
-            if block.len() != net.n_inputs() {
-                return Err(SimError::InputWidthMismatch {
-                    got: block.len(),
-                    expected: net.n_inputs(),
-                });
-            }
-            // Feed-forward wavefront, then the single feedback row.
-            let values = eval_by_rows(&net, &placement, block, &stuck);
-            let p = outputs_from(&net, &values);
-            state = fb.apply(&state, &p);
-            n += 1;
+    /// The feed-forward wavefront of every block 64 at a time, then the
+    /// single feedback row block by block.
+    fn crc_stream(
+        &mut self,
+        x_t: &BitVec,
+        n: usize,
+        row: impl Fn(usize, usize) -> u64,
+    ) -> Result<BitVec, SimError> {
+        if n == 0 {
+            return Ok(x_t.clone());
         }
-        if n > 0 {
-            self.obs
-                .registry
-                .add(self.obs.cycles.compute, latency + (n - 1));
-            self.obs.profiler.record_stream(stats.rows, latency, n);
-        }
-        Ok(state)
+        let (ctx, lanes) = self.active_parts()?;
+        let fb = ctx.op.feedback().expect("crc update has feedback");
+        let mut state = state_words(x_t, fb.k);
+        feed_forward(&ctx.tape, lanes, n, fb.k, row, |_, p| {
+            fb.step_words(&mut state, p);
+        });
+        let (k, stats) = (fb.k, ctx.op.stats());
+        self.charge_stream(stats, n as u64);
+        Ok(BitVec::from_words(state, k))
     }
 
     /// Streams `blocks` through the active **dense look-ahead** update
@@ -582,36 +747,89 @@ impl PicogaSim {
     where
         I: IntoIterator<Item = &'a BitVec>,
     {
+        let m = self.dense_block_width()?;
+        // Blocks before a malformed one have run (and been charged)
+        // when the error surfaces, as on the fabric.
+        let (blocks, err) = valid_prefix(blocks, m);
+        let st = self.crc_dense(state, blocks.len(), |b, g| blocks[b].words()[g]);
+        if let Some(e) = err {
+            return Err(e);
+        }
+        self.record_dense(blocks.len());
+        Ok(st)
+    }
+
+    /// [`PicogaSim::run_crc_stream_dense`] over the first `n` M-bit
+    /// blocks of a packed bit stream.
+    ///
+    /// # Errors
+    ///
+    /// Shape mismatches per [`SimError`];
+    /// [`SimError::InputWidthMismatch`] when `bits` is shorter than
+    /// `n` blocks.
+    pub fn run_crc_dense_blocks(
+        &mut self,
+        state: &BitVec,
+        bits: &BitVec,
+        n: usize,
+    ) -> Result<BitVec, SimError> {
+        let m = self.dense_block_width()?;
+        check_packed(bits, n, m)?;
+        let st = self.crc_dense(state, n, |b, g| bits.word_at(b * m + 64 * g));
+        self.record_dense(n);
+        Ok(st)
+    }
+
+    /// The data block width M of the active dense update operation.
+    fn dense_block_width(&self) -> Result<usize, SimError> {
         let op = self.active_op()?;
         let Some(k) = op.dense_update_k() else {
             return Err(SimError::WrongOpShape {
                 expected: "dense CRC update",
             });
         };
-        let net = op.network().clone();
-        let placement = op.placement().clone();
-        let stats = op.stats();
-        let latency = stats.latency.max(1);
-        let m = net.n_inputs() - k;
-        let stuck = stuck_gates(&self.stuck, &placement);
+        Ok(op.network().n_inputs() - k)
+    }
 
+    fn active_op(&self) -> Result<&PgaOperation, SimError> {
+        let slot = self.active.ok_or(SimError::NoActiveContext)?;
+        self.contexts[slot]
+            .as_ref()
+            .map(|c| &c.op)
+            .ok_or(SimError::EmptySlot { slot })
+    }
+
+    /// The dense loop, one block per tape pass (the next block's input
+    /// is this block's output), charging the full latency per block.
+    fn crc_dense(&mut self, state: &BitVec, n: usize, row: impl Fn(usize, usize) -> u64) -> BitVec {
+        let (ctx, lanes) = self.active_parts().expect("shape checked");
+        let k = ctx.op.dense_update_k().expect("shape checked");
+        let tape = &ctx.tape;
         let mut st = state.clone();
-        let mut n: u64 = 0;
-        for block in blocks {
-            if block.len() != m {
-                return Err(SimError::InputWidthMismatch {
-                    got: block.len(),
-                    expected: m,
-                });
-            }
-            let inputs = st.concat(block);
-            let values = eval_by_rows(&net, &placement, &inputs, &stuck);
-            st = outputs_from(&net, &values);
-            self.obs.registry.add(self.obs.cycles.compute, latency);
-            n += 1;
+        tape.prepare(&mut lanes.values);
+        for b in 0..n {
+            let (head, tail) = lanes.values[..tape.n_inputs()].split_at_mut(k);
+            gather(head, 1, |_, g| st.word_at(64 * g));
+            gather(tail, 1, |_, g| row(b, g));
+            tape.run(&mut lanes.values);
+            let width = tape.n_outputs();
+            let mut words = vec![0u64; width.div_ceil(64)];
+            let values = &lanes.values;
+            scatter(width, 1, |i| tape.output(values, i), |_, g, w| words[g] = w);
+            st = BitVec::from_words(words, width);
         }
-        self.obs.profiler.record_iterative(stats.rows, latency, n);
-        Ok(st)
+        let latency = ctx.op.stats().latency.max(1);
+        self.obs
+            .registry
+            .add(self.obs.cycles.compute, latency * n as u64);
+        st
+    }
+
+    fn record_dense(&mut self, n: usize) {
+        let stats = self.active_op().expect("shape checked").stats();
+        self.obs
+            .profiler
+            .record_iterative(stats.rows, stats.latency.max(1), n as u64);
     }
 
     /// Streams an **interleaved** sequence of `(lane, block)` items through
@@ -632,44 +850,53 @@ impl PicogaSim {
     where
         I: IntoIterator<Item = (usize, &'a BitVec)>,
     {
-        let op = self.active_op()?;
-        if !op.is_crc_update() {
-            return Err(SimError::WrongOpShape {
-                expected: "CRC update",
-            });
-        }
-        let fb = op.feedback().expect("crc update has feedback").clone();
-        let net = op.network().clone();
-        let placement = op.placement().clone();
-        let stats = op.stats();
-        let latency = stats.latency;
-        let stuck = stuck_gates(&self.stuck, &placement);
-
-        let mut n: u64 = 0;
+        let width = self.crc_update_width()?;
+        let mut valid: Vec<(usize, &BitVec)> = Vec::new();
+        let mut err = None;
         for (lane, block) in items {
             if lane >= states.len() {
-                return Err(SimError::BadSlot {
+                err = Some(SimError::BadSlot {
                     slot: lane,
                     contexts: states.len(),
                 });
+                break;
             }
-            if block.len() != net.n_inputs() {
-                return Err(SimError::InputWidthMismatch {
+            if block.len() != width {
+                err = Some(SimError::InputWidthMismatch {
                     got: block.len(),
-                    expected: net.n_inputs(),
+                    expected: width,
                 });
+                break;
             }
-            let values = eval_by_rows(&net, &placement, block, &stuck);
-            let p = outputs_from(&net, &values);
-            states[lane] = fb.apply(&states[lane], &p);
-            n += 1;
+            valid.push((lane, block));
         }
-        if n > 0 {
-            self.obs
-                .registry
-                .add(self.obs.cycles.compute, latency + (n - 1));
-            self.obs.profiler.record_stream(stats.rows, latency, n);
+        // Items before a malformed one have updated their lanes when the
+        // error surfaces.
+        let (ctx, lanes) = self.active_parts()?;
+        let fb = ctx.op.feedback().expect("crc update has feedback");
+        let mut words: Vec<Option<Vec<u64>>> = vec![None; states.len()];
+        feed_forward(
+            &ctx.tape,
+            lanes,
+            valid.len(),
+            fb.k,
+            |b, g| valid[b].1.words()[g],
+            |b, p| {
+                let lane = valid[b].0;
+                let st = words[lane].get_or_insert_with(|| state_words(&states[lane], fb.k));
+                fb.step_words(st, p);
+            },
+        );
+        let (k, stats) = (fb.k, ctx.op.stats());
+        for (state, w) in states.iter_mut().zip(words) {
+            if let Some(w) = w {
+                *state = BitVec::from_words(w, k);
+            }
         }
+        if let Some(e) = err {
+            return Err(e);
+        }
+        self.charge_stream(stats, valid.len() as u64);
         Ok(())
     }
 
@@ -688,46 +915,101 @@ impl PicogaSim {
     where
         I: IntoIterator<Item = &'a BitVec>,
     {
-        let op = self.active_op()?;
-        let Some(m) = op.scrambler_m() else {
-            return Err(SimError::WrongOpShape {
-                expected: "scrambler",
-            });
-        };
-        let fb = op.feedback().expect("scrambler has feedback").clone();
-        let net = op.network().clone();
-        let placement = op.placement().clone();
-        let stats = op.stats();
-        let latency = stats.latency;
-        let stuck = stuck_gates(&self.stuck, &placement);
-
-        let mut state = x_t.clone();
-        let mut out = BitVec::zeros(0);
-        let mut n: u64 = 0;
-        for block in blocks {
-            if block.len() != m {
-                return Err(SimError::InputWidthMismatch {
-                    got: block.len(),
-                    expected: m,
-                });
-            }
-            // Output network reads the pre-update state and the block.
-            let inputs = state.concat(block);
-            let values = eval_by_rows(&net, &placement, &inputs, &stuck);
-            out = out.concat(&outputs_from(&net, &values));
-            // Autonomous companion update (no data into the loop).
-            let zero = BitVec::zeros(fb.k);
-            state = fb.apply(&state, &zero);
-            n += 1;
+        let m = self.scrambler_width()?;
+        let (blocks, err) = valid_prefix(blocks, m);
+        if let Some(e) = err {
+            return Err(e);
         }
-        if n > 0 {
-            self.obs
-                .registry
-                .add(self.obs.cycles.compute, latency + (n - 1));
-            self.obs.profiler.record_stream(stats.rows, latency, n);
-        }
-        Ok((out, state))
+        Ok(self.scrambler_stream(x_t, blocks.len(), |b, g| blocks[b].words()[g]))
     }
+
+    /// [`PicogaSim::run_scrambler_stream`] over the first `n` M-bit
+    /// blocks of a packed bit stream.
+    ///
+    /// # Errors
+    ///
+    /// Shape mismatches per [`SimError`];
+    /// [`SimError::InputWidthMismatch`] when `bits` is shorter than
+    /// `n` blocks.
+    pub fn run_scrambler_blocks(
+        &mut self,
+        x_t: &BitVec,
+        bits: &BitVec,
+        n: usize,
+    ) -> Result<(BitVec, BitVec), SimError> {
+        let m = self.scrambler_width()?;
+        check_packed(bits, n, m)?;
+        Ok(self.scrambler_stream(x_t, n, |b, g| bits.word_at(b * m + 64 * g)))
+    }
+
+    /// The block width M of the active scrambler operation.
+    fn scrambler_width(&self) -> Result<usize, SimError> {
+        self.active_op()?
+            .scrambler_m()
+            .ok_or(SimError::WrongOpShape {
+                expected: "scrambler",
+            })
+    }
+
+    /// Steps the autonomous state sequence of a chunk first (no data
+    /// enters the loop), then evaluates the chunk's output network over
+    /// `[x_t | u]` 64 blocks at a time, writing each block's output
+    /// straight into the result.
+    fn scrambler_stream(
+        &mut self,
+        x_t: &BitVec,
+        n: usize,
+        row: impl Fn(usize, usize) -> u64,
+    ) -> (BitVec, BitVec) {
+        if n == 0 {
+            return (BitVec::zeros(0), x_t.clone());
+        }
+        let (ctx, lanes) = self.active_parts().expect("shape checked");
+        let fb = ctx.op.feedback().expect("scrambler has feedback");
+        let tape = &ctx.tape;
+        let (k, width) = (fb.k, tape.n_outputs());
+        let kw = k.div_ceil(64);
+        let mut state = state_words(x_t, k);
+        let zero = vec![0u64; kw];
+        let mut out = BitVec::zeros(n * width);
+        tape.prepare(&mut lanes.values);
+        lanes.rows.resize(CHUNK * kw, 0);
+        for c0 in (0..n).step_by(CHUNK) {
+            let cn = (n - c0).min(CHUNK);
+            for j in 0..cn {
+                lanes.rows[j * kw..(j + 1) * kw].copy_from_slice(&state);
+                fb.step_words(&mut state, &zero);
+            }
+            let (head, tail) = lanes.values[..tape.n_inputs()].split_at_mut(k);
+            let states = &lanes.rows;
+            gather(head, cn, |j, g| states[j * kw + g]);
+            gather(tail, cn, |j, g| row(c0 + j, g));
+            tape.run(&mut lanes.values);
+            let values = &lanes.values;
+            scatter(
+                width,
+                cn,
+                |i| tape.output(values, i),
+                |j, g, w| {
+                    out.xor_word_at((c0 + j) * width + 64 * g, w);
+                },
+            );
+        }
+        let stats = ctx.op.stats();
+        self.charge_stream(stats, n as u64);
+        (out, BitVec::from_words(state, k))
+    }
+}
+
+/// Checks that `bits` holds `n` whole `m`-bit blocks.
+fn check_packed(bits: &BitVec, n: usize, m: usize) -> Result<(), SimError> {
+    if n * m > bits.len() {
+        return Err(SimError::InputWidthMismatch {
+            got: bits.len(),
+            expected: n * m,
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1132,6 +1414,243 @@ mod tests {
             }),
             Err(InjectError::BadCoordinate { what: "row", .. })
         ));
+    }
+
+    /// Differential tests of the compiled tapes against the
+    /// gate-at-a-time evaluator they replaced, on random networks at
+    /// M ∈ {8, 32, 128} with wire flips (some reading gates placed in
+    /// later rows), tap flips and stuck cells.
+    mod differential {
+        use super::*;
+
+        struct Rng(u64);
+
+        impl Rng {
+            fn next(&mut self) -> u64 {
+                self.0 ^= self.0 << 13;
+                self.0 ^= self.0 >> 7;
+                self.0 ^= self.0 << 17;
+                self.0
+            }
+            fn below(&mut self, n: usize) -> usize {
+                (self.next() % n as u64) as usize
+            }
+            fn bits(&mut self, len: usize) -> BitVec {
+                BitVec::from_words((0..len.div_ceil(64)).map(|_| self.next()).collect(), len)
+            }
+            fn matrix(&mut self, rows: usize, cols: usize) -> BitMat {
+                BitMat::from_rows((0..rows).map(|_| self.bits(cols)).collect())
+            }
+        }
+
+        /// A fabric large enough for any random network below.
+        fn roomy() -> PicogaParams {
+            PicogaParams {
+                rows: 64,
+                cells_per_row: 64,
+                usable_cells_per_row: 64,
+                input_bits: 1024,
+                output_bits: 1024,
+                ..PicogaParams::dream()
+            }
+        }
+
+        /// The four operation shapes over an `m`-bit block.
+        fn ops(rng: &mut Rng, m: usize) -> Vec<PgaOperation> {
+            let p = roomy();
+            let fb = BitMat::companion(&Gf2Poly::from_crc_notation(0x04C1_1DB7, 32));
+            let scr = BitMat::companion(&Gf2Poly::from_u64(0b1001_0001));
+            let synth = |mat: &BitMat| synthesize(mat, SynthOptions::default());
+            vec![
+                PgaOperation::linear("lin", synth(&rng.matrix(32, m)), &p).unwrap(),
+                PgaOperation::crc_update("upd", synth(&rng.matrix(32, m)), &fb, &p).unwrap(),
+                PgaOperation::crc_update_dense("dense", synth(&rng.matrix(16, 16 + m)), 16, &p)
+                    .unwrap(),
+                PgaOperation::scrambler("scr", synth(&rng.matrix(m, 7 + m)), &scr, m, &p).unwrap(),
+            ]
+        }
+
+        /// Corrupts `sim`'s context 0 (holding `op`) and the fabric with
+        /// random faults; returns how many wire flips read a gate placed
+        /// in the same or a later row.
+        fn corrupt(sim: &mut PicogaSim, op: &PgaOperation, rng: &mut Rng) -> usize {
+            let net = op.network();
+            let pl = op.placement();
+            let mut forward = 0;
+            for _ in 0..1 + rng.below(3) {
+                let gate = rng.below(net.gate_count());
+                let pin = rng.below(net.gates()[gate].inputs.len());
+                let own = net.n_inputs() + gate;
+                // Half the flips read a gate placed no earlier than the
+                // reader, when one exists.
+                let later: Vec<usize> = (0..gate)
+                    .filter(|&h| pl.row_of(h) >= pl.row_of(gate))
+                    .collect();
+                let new_signal = if !later.is_empty() && rng.below(2) == 0 {
+                    forward += 1;
+                    net.n_inputs() + later[rng.below(later.len())]
+                } else {
+                    rng.below(own)
+                };
+                let f = ConfigFault::WireFlip {
+                    slot: 0,
+                    gate,
+                    pin,
+                    new_signal,
+                };
+                sim.inject(&f).unwrap();
+            }
+            if rng.below(2) == 0 {
+                let output = rng.below(net.outputs().len());
+                let tap = rng.below(net.n_signals() + 1);
+                let f = ConfigFault::TapFlip {
+                    slot: 0,
+                    output,
+                    new_tap: (tap < net.n_signals()).then_some(tap),
+                };
+                sim.inject(&f).unwrap();
+            }
+            for _ in 0..rng.below(3) {
+                let row = rng.below(pl.row_count().max(1));
+                let cell = rng.below(pl.rows().get(row).map_or(1, Vec::len).max(1));
+                let f = ConfigFault::StuckCell {
+                    row,
+                    cell,
+                    value: rng.below(2) == 0,
+                };
+                sim.inject(&f).unwrap();
+            }
+            forward
+        }
+
+        /// The gate-at-a-time evaluation of the resident context.
+        fn oracle(sim: &PicogaSim, inputs: &BitVec) -> BitVec {
+            let op = sim.context(0).unwrap();
+            let stuck = stuck_gates(sim.stuck_cells(), op.placement());
+            let values = eval_by_rows(op.network(), op.placement(), inputs, &stuck);
+            outputs_from(op.network(), &values)
+        }
+
+        /// The zero + basis sweep as `affine_probe` ran it before.
+        fn oracle_probe(sim: &PicogaSim) -> bool {
+            let net = sim.context(0).unwrap().network();
+            let n = net.n_inputs();
+            let expected = net.to_matrix();
+            oracle(sim, &BitVec::zeros(n)).is_zero()
+                && (0..n).all(|i| oracle(sim, &BitVec::unit(i, n)) == expected.column(i))
+        }
+
+        fn packed(blocks: &[BitVec]) -> BitVec {
+            blocks
+                .iter()
+                .fold(BitVec::zeros(0), |acc, b| acc.concat(b))
+                .concat(&BitVec::from_u64(0b101, 3))
+        }
+
+        fn check(sim: &mut PicogaSim, rng: &mut Rng, m: usize) {
+            let op = sim.context(0).unwrap().clone();
+            assert_eq!(
+                sim.affine_probe().unwrap(),
+                oracle_probe(sim),
+                "{}",
+                op.name()
+            );
+            let n_in = op.network().n_inputs();
+            let n = [0, 1, 63, 64, 65, 130][rng.below(6)];
+            let blocks: Vec<BitVec> = (0..n).map(|_| rng.bits(m)).collect();
+            let bits = packed(&blocks);
+            match op.kind_name() {
+                "linear" => {
+                    let x = rng.bits(n_in);
+                    assert_eq!(sim.run_linear(&x).unwrap(), oracle(sim, &x));
+                }
+                "crc-update" => {
+                    let fb = op.feedback().unwrap().clone();
+                    let x0 = rng.bits(32);
+                    let want = blocks
+                        .iter()
+                        .fold(x0.clone(), |x, b| fb.apply(&x, &oracle(sim, b)));
+                    assert_eq!(sim.run_crc_stream(&x0, blocks.iter()).unwrap(), want);
+                    assert_eq!(sim.run_crc_blocks(&x0, &bits, n).unwrap(), want);
+                    let mut lanes: Vec<BitVec> = (0..3).map(|_| rng.bits(32)).collect();
+                    let mut want = lanes.clone();
+                    let items: Vec<(usize, &BitVec)> =
+                        blocks.iter().map(|b| (rng.below(3), b)).collect();
+                    for &(l, b) in &items {
+                        want[l] = fb.apply(&want[l], &oracle(sim, b));
+                    }
+                    sim.run_crc_interleaved(&mut lanes, items).unwrap();
+                    assert_eq!(lanes, want);
+                }
+                "crc-update-dense" => {
+                    let s0 = rng.bits(16);
+                    let want = blocks
+                        .iter()
+                        .fold(s0.clone(), |s, b| oracle(sim, &s.concat(b)));
+                    assert_eq!(sim.run_crc_stream_dense(&s0, blocks.iter()).unwrap(), want);
+                    assert_eq!(sim.run_crc_dense_blocks(&s0, &bits, n).unwrap(), want);
+                }
+                _ => {
+                    let fb = op.feedback().unwrap().clone();
+                    let x0 = rng.bits(7);
+                    let (mut out, mut x) = (BitVec::zeros(0), x0.clone());
+                    for b in &blocks {
+                        out = out.concat(&oracle(sim, &x.concat(b)));
+                        x = fb.apply(&x, &BitVec::zeros(7));
+                    }
+                    let want = if n == 0 { (out, x0.clone()) } else { (out, x) };
+                    assert_eq!(sim.run_scrambler_stream(&x0, blocks.iter()).unwrap(), want);
+                    assert_eq!(sim.run_scrambler_blocks(&x0, &bits, n).unwrap(), want);
+                }
+            }
+        }
+
+        #[test]
+        fn tapes_match_the_row_evaluator_under_faults() {
+            let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
+            let mut forward = 0;
+            for m in [8, 32, 128] {
+                for op in ops(&mut rng, m) {
+                    for _ in 0..4 {
+                        let mut sim = PicogaSim::new(roomy());
+                        sim.load_context(0, op.clone()).unwrap();
+                        sim.switch_to(0).unwrap();
+                        check(&mut sim, &mut rng, m);
+                        forward += corrupt(&mut sim, &op, &mut rng);
+                        check(&mut sim, &mut rng, m);
+                        sim.clear_stuck_cells();
+                        check(&mut sim, &mut rng, m);
+                    }
+                }
+            }
+            assert!(
+                forward > 10,
+                "flips reading later-placed gates were exercised"
+            );
+        }
+
+        #[test]
+        fn cycle_charges_follow_the_fabric_model() {
+            let mut rng = Rng(77);
+            let op = ops(&mut rng, 32).swap_remove(1);
+            let latency = op.stats().latency;
+            let mut sim = PicogaSim::new(roomy());
+            sim.load_context(0, op).unwrap();
+            sim.switch_to(0).unwrap();
+            sim.reset_counters();
+            let bits = rng.bits(32 * 100);
+            sim.run_crc_blocks(&BitVec::zeros(32), &bits, 100).unwrap();
+            assert_eq!(sim.counters().compute, latency + 99);
+            assert!(matches!(
+                sim.run_crc_blocks(&BitVec::zeros(32), &bits, 101),
+                Err(SimError::InputWidthMismatch { .. })
+            ));
+            assert_eq!(
+                sim.counters().compute,
+                latency + 99,
+                "refused runs are free"
+            );
+        }
     }
 
     fn lfsr_fibonacci(s: &Gf2Poly) -> BitMat {

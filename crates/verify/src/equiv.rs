@@ -4,9 +4,9 @@
 //! Over GF(2) an XOR network is a linear map by construction, so probing
 //! it with every basis vector `e_j` is a **complete proof**, not a
 //! sample: if `net(e_j) = M·e_j` for all `j` then `net(x) = M·x` for all
-//! `x` by linearity. The probe drives [`XorNetwork::evaluate`] — the
-//! same code path the fabric simulator executes — so the proof covers
-//! the runtime semantics, independent of the IR's own symbolic
+//! `x` by linearity. The probe drives [`XorNetwork::evaluate_lanes`],
+//! 64 basis vectors per pass, so the proof covers the network's
+//! evaluation semantics independently of the IR's own symbolic
 //! `to_matrix` pass. On a mismatch, a second, forward support-tracking
 //! pass localises the offending outputs and input columns.
 
@@ -137,16 +137,29 @@ pub fn check_network(net: &XorNetwork, matrix: &BitMat) -> Result<(), EquivError
     let n = net.n_inputs();
     let rows = matrix.rows();
 
-    // Basis probe through the runtime evaluator: column j of the network's
-    // linear map is net(e_j).
+    // Basis probe through the runtime evaluator, 64 basis vectors per
+    // pass: lane j of pass c drives e_{64c+j}, so output i's word is
+    // columns [64c, 64c + 64) of row i of the network's linear map.
+    // Lanes past n drive the zero vector and must read 0 on both sides.
     let mut bad: Vec<Vec<usize>> = vec![Vec::new(); rows];
     let mut any = false;
-    for j in 0..n {
-        let probe = net.evaluate(&BitVec::unit(j, n));
+    let mut inputs = vec![0u64; n];
+    let mut values = Vec::new();
+    for lo in (0..n).step_by(64) {
+        for (i, w) in inputs.iter_mut().enumerate() {
+            *w = if (lo..lo + 64).contains(&i) {
+                1 << (i - lo)
+            } else {
+                0
+            };
+        }
+        net.evaluate_lanes(&inputs, &mut values);
         for (i, bad_row) in bad.iter_mut().enumerate() {
-            if probe.get(i) != matrix.get(i, j) {
-                bad_row.push(j);
-                any = true;
+            let mut diff = net.output_lanes(&values, i) ^ matrix.row(i).word_at(lo);
+            any |= diff != 0;
+            while diff != 0 {
+                bad_row.push(lo + diff.trailing_zeros() as usize);
+                diff &= diff - 1;
             }
         }
     }
@@ -159,15 +172,48 @@ pub fn check_network(net: &XorNetwork, matrix: &BitMat) -> Result<(), EquivError
     if !any {
         return Ok(());
     }
-    Err(EquivError::NotEquivalent {
+    Err(not_equivalent(bad, n))
+}
+
+fn not_equivalent(bad: Vec<Vec<usize>>, probes: usize) -> EquivError {
+    EquivError::NotEquivalent {
         mismatches: bad
             .into_iter()
             .enumerate()
             .filter(|(_, cols)| !cols.is_empty())
             .map(|(output, bad_inputs)| RowMismatch { output, bad_inputs })
             .collect(),
-        probes: n,
-    })
+        probes,
+    }
+}
+
+/// The basis probe as it ran before lane evaluation: one basis vector
+/// per [`XorNetwork::evaluate`] call. Kept as the oracle the lane
+/// version is tested against.
+#[cfg(test)]
+fn check_network_oracle(net: &XorNetwork, matrix: &BitMat) -> Result<(), EquivError> {
+    if net.n_inputs() != matrix.cols() || net.outputs().len() != matrix.rows() {
+        return Err(EquivError::ShapeMismatch {
+            expected_outputs: matrix.rows(),
+            expected_inputs: matrix.cols(),
+            got_outputs: net.outputs().len(),
+            got_inputs: net.n_inputs(),
+        });
+    }
+    let n = net.n_inputs();
+    let mut bad: Vec<Vec<usize>> = vec![Vec::new(); matrix.rows()];
+    for j in 0..n {
+        let probe = net.evaluate(&BitVec::unit(j, n));
+        for (i, bad_row) in bad.iter_mut().enumerate() {
+            if probe.get(i) != matrix.get(i, j) {
+                bad_row.push(j);
+            }
+        }
+    }
+    if bad.iter().all(Vec::is_empty) {
+        return Ok(());
+    }
+    Err(not_equivalent(bad, n))
 }
 
 #[cfg(test)]
@@ -273,6 +319,52 @@ mod tests {
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, Code::NonEquivalent);
         assert_eq!(diags[0].location, Location::Output(2));
+    }
+
+    #[test]
+    fn lane_probe_matches_the_one_vector_oracle_under_corruption() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for (rows, cols) in [(8, 8), (32, 32), (32, 128), (16, 150), (3, 64)] {
+            let m = dense_matrix(rows, cols, next());
+            let net = synthesize(&m, SynthOptions::default());
+            for _ in 0..6 {
+                let mut bad = net.clone();
+                for _ in 0..(next() % 3) {
+                    let gi = (next() as usize) % bad.gate_count().max(1);
+                    if bad.gate_count() > 0 {
+                        let own = bad.n_inputs() + gi;
+                        let pin = (next() as usize) % bad.gates()[gi].inputs.len();
+                        bad.set_gate_input(gi, pin, (next() as usize) % own);
+                    }
+                }
+                if next() % 2 == 0 {
+                    let o = (next() as usize) % rows;
+                    let tap = (next() as usize) % (bad.n_signals() + 1);
+                    bad.set_output(o, (tap < bad.n_signals()).then_some(tap));
+                }
+                let mut target = m.clone();
+                if next() % 3 == 0 {
+                    let (i, j) = ((next() as usize) % rows, (next() as usize) % cols);
+                    target.set(i, j, !target.get(i, j));
+                }
+                assert_eq!(
+                    check_network(&bad, &target),
+                    check_network_oracle(&bad, &target)
+                );
+            }
+        }
+        let m = dense_matrix(4, 6, 3);
+        let net = synthesize(&m, SynthOptions::default());
+        assert_eq!(
+            check_network(&net, &BitMat::zeros(5, 6)),
+            check_network_oracle(&net, &BitMat::zeros(5, 6))
+        );
     }
 
     #[test]

@@ -62,17 +62,28 @@ pub trait FrameHasher {
     }
 }
 
-/// The Sarwate kernel is catalogue-driven and cheap to clone per frame.
-fn sarwate32(data: &[u8]) -> u32 {
-    let mut k = SarwateCrc::new(CrcSpec::crc32_ethernet()).expect("width 32 ≥ 8");
-    k.update(data);
-    u32::try_from(k.finalize() & 0xFFFF_FFFF).expect("masked to 32 bits")
+/// A CRC-32/ETHERNET Sarwate kernel. Its 256-entry table is built once
+/// per hasher; every frame resets and reuses it.
+#[derive(Debug, Clone)]
+struct Sarwate32(SarwateCrc);
+
+impl Default for Sarwate32 {
+    fn default() -> Self {
+        Sarwate32(SarwateCrc::new(CrcSpec::crc32_ethernet()).expect("width 32 ≥ 8"))
+    }
+}
+
+impl Sarwate32 {
+    fn crc32(&mut self, data: &[u8]) -> u32 {
+        u32::try_from(self.0.checksum(data) & 0xFFFF_FFFF).expect("masked to 32 bits")
+    }
 }
 
 /// A pure software hasher: the Sarwate kernel, no fabric.
 #[derive(Debug, Default)]
 pub struct SoftwareHasher {
     stats: HasherStats,
+    kernel: Sarwate32,
 }
 
 impl SoftwareHasher {
@@ -87,7 +98,7 @@ impl FrameHasher for SoftwareHasher {
     fn crc32(&mut self, data: &[u8]) -> u32 {
         self.stats.frames += 1;
         self.stats.software_frames += 1;
-        sarwate32(data)
+        self.kernel.crc32(data)
     }
 
     fn stats(&self) -> HasherStats {
@@ -101,6 +112,8 @@ impl FrameHasher for SoftwareHasher {
 pub struct FabricHasher {
     rs: ResilientSystem,
     stats: HasherStats,
+    /// The software kernel behind frames the guarded path fails on.
+    fallback: Sarwate32,
 }
 
 impl std::fmt::Debug for FabricHasher {
@@ -145,6 +158,7 @@ impl FabricHasher {
         Ok(FabricHasher {
             rs,
             stats: HasherStats::default(),
+            fallback: Sarwate32::default(),
         })
     }
 
@@ -228,7 +242,7 @@ impl FrameHasher for FabricHasher {
                 // recovery); the journal must still frame correctly, so
                 // fall back to the software kernel and count it.
                 self.stats.software_frames += 1;
-                sarwate32(data)
+                self.fallback.crc32(data)
             }
         }
     }
@@ -252,6 +266,28 @@ mod tests {
         assert_eq!(h.crc32(data), want);
         assert_eq!(h.stats().frames, 1);
         assert_eq!(h.stats().software_frames, 1);
+    }
+
+    #[test]
+    fn reused_kernel_matches_bitwise_on_random_frames() {
+        let mut soft = SoftwareHasher::new();
+        let mut kernel = Sarwate32::default();
+        let mut x = 0x0DDB_1A5E_5BAD_5EEDu64;
+        for _ in 0..64 {
+            let frame: Vec<u8> = (0..(x % 300) as usize)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    x as u8
+                })
+                .collect();
+            let want = u32::try_from(crc_bitwise(CrcSpec::crc32_ethernet(), &frame) & 0xFFFF_FFFF)
+                .unwrap();
+            assert_eq!(soft.crc32(&frame), want);
+            assert_eq!(kernel.crc32(&frame), want);
+        }
+        assert_eq!(soft.stats().frames, 64);
     }
 
     #[test]

@@ -142,6 +142,31 @@ impl XorNetwork {
         out
     }
 
+    /// Evaluates the network on 64 input vectors at once, bitsliced: bit
+    /// `j` of `inputs[i]` is input `i` of vector `j`. On return `values`
+    /// holds one word per signal (inputs first, then gates in creation
+    /// order); read an output's word with [`XorNetwork::output_lanes`].
+    /// `values` is a caller-owned buffer, reused across calls.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs.len() != n_inputs`.
+    pub fn evaluate_lanes(&self, inputs: &[u64], values: &mut Vec<u64>) {
+        assert_eq!(inputs.len(), self.n_inputs, "input width mismatch");
+        values.clear();
+        values.extend_from_slice(inputs);
+        for g in &self.gates {
+            let v = g.inputs.iter().fold(0, |acc, &s| acc ^ values[s]);
+            values.push(v);
+        }
+    }
+
+    /// Output `out_idx`'s word after [`XorNetwork::evaluate_lanes`]
+    /// filled `values` (0 for an untapped output).
+    pub fn output_lanes(&self, values: &[u64], out_idx: usize) -> u64 {
+        self.outputs[out_idx].map_or(0, |s| values[s])
+    }
+
     /// Topological level of every signal: inputs at level 0, each gate one
     /// level above its deepest fan-in.
     pub fn levels(&self) -> Vec<usize> {
@@ -234,6 +259,25 @@ mod tests {
         n.add_output(Some(2));
         n.add_output(None);
         n
+    }
+
+    #[test]
+    fn lanes_agree_with_single_vector_evaluation() {
+        let net = xor_chain();
+        let inputs = [0b1010_1100u64, 0b0110_0101, 0b1111_0000];
+        let mut values = Vec::new();
+        net.evaluate_lanes(&inputs, &mut values);
+        for lane in 0..8 {
+            let x = BitVec::from_bits(inputs.iter().map(|w| (w >> lane) & 1 == 1));
+            let y = net.evaluate(&x);
+            for o in 0..net.outputs().len() {
+                assert_eq!(
+                    (net.output_lanes(&values, o) >> lane) & 1 == 1,
+                    y.get(o),
+                    "lane {lane}, output {o}"
+                );
+            }
+        }
     }
 
     #[test]

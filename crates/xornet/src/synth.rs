@@ -17,7 +17,6 @@
 
 use crate::ir::{SignalId, XorNetwork};
 use gf2::BitMat;
-use std::collections::HashMap;
 
 /// Synthesis options.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,6 +46,14 @@ impl Default for SynthOptions {
 ///
 /// Panics if `opts.max_fanin < 2`.
 pub fn synthesize(matrix: &BitMat, opts: SynthOptions) -> XorNetwork {
+    synthesize_with(matrix, opts, extract_patterns)
+}
+
+/// Phase 1 implementations share this signature (the production one and
+/// the test oracle).
+type Extractor = fn(&mut XorNetwork, &mut [Vec<SignalId>], usize);
+
+fn synthesize_with(matrix: &BitMat, opts: SynthOptions, extract: Extractor) -> XorNetwork {
     let mut net = XorNetwork::new(matrix.cols(), opts.max_fanin);
     // Rows as sorted signal-id sets.
     let mut rows: Vec<Vec<SignalId>> = matrix
@@ -55,7 +62,7 @@ pub fn synthesize(matrix: &BitMat, opts: SynthOptions) -> XorNetwork {
         .collect();
 
     if opts.share_patterns {
-        extract_patterns(&mut net, &mut rows, opts.max_fanin);
+        extract(&mut net, &mut rows, opts.max_fanin);
     }
 
     for row in rows {
@@ -73,6 +80,10 @@ pub fn synthesize(matrix: &BitMat, opts: SynthOptions) -> XorNetwork {
 /// when `c·(s−1) ≥ K`. Patterns below that bar are left to the cover
 /// phase — on dense random-like matrices (a big `B_Mt`) this makes the phase
 /// a no-op rather than a pessimisation.
+///
+/// The most-shared pair is the one with the highest count, ties going to
+/// the smallest `(a, b)`. Counts live in a dense [`PairCounts`] table that
+/// is built once and updated only for the rows a substitution rewrites.
 fn extract_patterns(net: &mut XorNetwork, rows: &mut [Vec<SignalId>], max_fanin: usize) {
     // Pair counting is quadratic in row width; past this literal budget the
     // savings no longer justify the runtime and the naive cover is used
@@ -81,22 +92,11 @@ fn extract_patterns(net: &mut XorNetwork, rows: &mut [Vec<SignalId>], max_fanin:
     if rows.iter().map(std::vec::Vec::len).sum::<usize>() > CSE_LITERAL_BUDGET {
         return;
     }
-    loop {
-        // Count pair occurrences across rows.
-        let mut pair_count: HashMap<(SignalId, SignalId), usize> = HashMap::new();
-        for row in rows.iter() {
-            for i in 0..row.len() {
-                for j in i + 1..row.len() {
-                    *pair_count.entry((row[i], row[j])).or_insert(0) += 1;
-                }
-            }
-        }
-        let Some((&best_pair, &count)) = pair_count
-            .iter()
-            .max_by_key(|&(pair, c)| (*c, std::cmp::Reverse(*pair)))
-        else {
-            break;
-        };
+    let mut counts = PairCounts::new(net.n_signals(), rows);
+    for row in rows.iter() {
+        counts.add_row(row);
+    }
+    while let Some((best_pair, count)) = counts.best() {
         if count < 2 {
             break;
         }
@@ -111,25 +111,19 @@ fn extract_patterns(net: &mut XorNetwork, rows: &mut [Vec<SignalId>], max_fanin:
             let holders: Vec<usize> = rows
                 .iter()
                 .enumerate()
-                .filter(|(_, r)| pattern.iter().all(|s| r.contains(s)))
+                .filter(|(_, r)| holds(r, &pattern))
                 .map(|(i, _)| i)
                 .collect();
             // Candidate extensions: signals present in *all* holder rows.
             let mut candidate: Option<SignalId> = None;
             if holders.len() >= 2 {
                 let first = &rows[holders[0]];
-                'cand: for &s in first {
-                    if pattern.contains(&s) {
-                        continue;
-                    }
-                    for &h in &holders[1..] {
-                        if !rows[h].contains(&s) {
-                            continue 'cand;
-                        }
-                    }
-                    candidate = Some(s);
-                    break;
-                }
+                candidate = first.iter().copied().find(|s| {
+                    !pattern.contains(s)
+                        && holders[1..]
+                            .iter()
+                            .all(|&h| rows[h].binary_search(s).is_ok())
+                });
             }
             match candidate {
                 Some(s) => pattern.push(s),
@@ -139,23 +133,120 @@ fn extract_patterns(net: &mut XorNetwork, rows: &mut [Vec<SignalId>], max_fanin:
         pattern.sort_unstable();
 
         // Acceptance: the extraction must actually save cover gates.
-        let holders = rows
-            .iter()
-            .filter(|r| pattern.iter().all(|s| r.contains(s)))
-            .count();
+        let holders = rows.iter().filter(|r| holds(r, &pattern)).count();
         if holders * (pattern.len() - 1) < max_fanin {
             break;
         }
 
-        // Materialise and substitute.
+        // Materialise and substitute. The new gate is the highest signal
+        // so far, so pushing it keeps every row sorted.
         let gate = net.add_gate(pattern.clone());
+        counts.add_signal(gate);
         for row in rows.iter_mut() {
-            if pattern.iter().all(|s| row.contains(s)) {
-                row.retain(|s| !pattern.contains(s));
+            if holds(row, &pattern) {
+                counts.remove_row(row);
+                row.retain(|s| pattern.binary_search(s).is_err());
                 row.push(gate);
-                row.sort_unstable();
+                counts.add_row(row);
             }
         }
+    }
+}
+
+/// `true` if the sorted `row` contains every signal of `pattern`.
+fn holds(row: &[SignalId], pattern: &[SignalId]) -> bool {
+    pattern.iter().all(|s| row.binary_search(s).is_ok())
+}
+
+/// Occurrence counts of signal pairs across the rows, in a dense square
+/// table over the signals that can pair at all (those of rows with two
+/// or more literals, plus every gate added since). Dense indices follow
+/// signal order, so scanning the table row-major visits pairs in
+/// ascending `(a, b)` order.
+struct PairCounts {
+    /// Signal id → dense index (`u32::MAX` for signals that never pair).
+    dense: Vec<u32>,
+    /// Dense index → signal id.
+    signal: Vec<SignalId>,
+    /// `stride × stride` counts; only `a < b` is used.
+    table: Vec<u32>,
+    stride: usize,
+}
+
+impl PairCounts {
+    fn new(n_signals: usize, rows: &[Vec<SignalId>]) -> Self {
+        let mut pairs = vec![false; n_signals];
+        for row in rows.iter().filter(|r| r.len() >= 2) {
+            row.iter().for_each(|&s| pairs[s] = true);
+        }
+        let mut dense = vec![u32::MAX; n_signals];
+        let mut signal = Vec::new();
+        for (s, _) in pairs.iter().enumerate().filter(|(_, &p)| p) {
+            dense[s] = u32::try_from(signal.len()).expect("signal count fits u32");
+            signal.push(s);
+        }
+        let stride = signal.len() + signal.len() / 2 + 8;
+        PairCounts {
+            dense,
+            signal,
+            table: vec![0; stride * stride],
+            stride,
+        }
+    }
+
+    /// Gives a newly created gate output a dense index, growing the table
+    /// when it is full.
+    fn add_signal(&mut self, s: SignalId) {
+        self.dense.resize(s + 1, u32::MAX);
+        self.dense[s] = u32::try_from(self.signal.len()).expect("signal count fits u32");
+        self.signal.push(s);
+        if self.signal.len() > self.stride {
+            let stride = self.stride * 2;
+            let mut table = vec![0; stride * stride];
+            for (a, row) in self.table.chunks(self.stride).enumerate() {
+                table[a * stride..a * stride + self.stride].copy_from_slice(row);
+            }
+            self.table = table;
+            self.stride = stride;
+        }
+    }
+
+    fn bump(&mut self, row: &[SignalId], delta: u32) {
+        for (i, &a) in row.iter().enumerate() {
+            let base = self.dense[a] as usize * self.stride;
+            for &b in &row[i + 1..] {
+                let c = &mut self.table[base + self.dense[b] as usize];
+                *c = c.wrapping_add(delta);
+            }
+        }
+    }
+
+    fn add_row(&mut self, row: &[SignalId]) {
+        if row.len() >= 2 {
+            self.bump(row, 1);
+        }
+    }
+
+    fn remove_row(&mut self, row: &[SignalId]) {
+        if row.len() >= 2 {
+            self.bump(row, u32::MAX);
+        }
+    }
+
+    /// The most frequent pair and its count, ties going to the smallest
+    /// pair; `None` when no row holds two signals.
+    fn best(&self) -> Option<((SignalId, SignalId), u32)> {
+        let n = self.signal.len();
+        let mut best: Option<((usize, usize), u32)> = None;
+        for a in 0..n {
+            let row = &self.table[a * self.stride..a * self.stride + n];
+            for (b, &c) in row.iter().enumerate().skip(a + 1) {
+                if c > 0 && best.is_none_or(|(_, bc)| c > bc) {
+                    best = Some(((a, b), c));
+                }
+            }
+        }
+        best.map(|((a, b), c)| ((self.signal[a], self.signal[b]), c))
     }
 }
 
@@ -202,10 +293,133 @@ pub fn report(net: &XorNetwork) -> SynthReport {
     }
 }
 
+/// The phase-1 pair counter this module used before [`PairCounts`]: a
+/// `HashMap` rebuilt from every row on every iteration. Kept as the
+/// oracle the dense table is tested against.
+#[cfg(test)]
+fn extract_patterns_oracle(net: &mut XorNetwork, rows: &mut [Vec<SignalId>], max_fanin: usize) {
+    use std::collections::HashMap;
+    if rows.iter().map(std::vec::Vec::len).sum::<usize>() > 4096 {
+        return;
+    }
+    loop {
+        let mut pair_count: HashMap<(SignalId, SignalId), usize> = HashMap::new();
+        for row in rows.iter() {
+            for i in 0..row.len() {
+                for j in i + 1..row.len() {
+                    *pair_count.entry((row[i], row[j])).or_insert(0) += 1;
+                }
+            }
+        }
+        let Some((&best_pair, &count)) = pair_count
+            .iter()
+            .max_by_key(|&(pair, c)| (*c, std::cmp::Reverse(*pair)))
+        else {
+            break;
+        };
+        if count < 2 {
+            break;
+        }
+        let mut pattern = vec![best_pair.0, best_pair.1];
+        while pattern.len() < max_fanin {
+            let holders: Vec<usize> = rows
+                .iter()
+                .enumerate()
+                .filter(|(_, r)| pattern.iter().all(|s| r.contains(s)))
+                .map(|(i, _)| i)
+                .collect();
+            let mut candidate: Option<SignalId> = None;
+            if holders.len() >= 2 {
+                let first = &rows[holders[0]];
+                'cand: for &s in first {
+                    if pattern.contains(&s) {
+                        continue;
+                    }
+                    for &h in &holders[1..] {
+                        if !rows[h].contains(&s) {
+                            continue 'cand;
+                        }
+                    }
+                    candidate = Some(s);
+                    break;
+                }
+            }
+            match candidate {
+                Some(s) => pattern.push(s),
+                None => break,
+            }
+        }
+        pattern.sort_unstable();
+        let holders = rows
+            .iter()
+            .filter(|r| pattern.iter().all(|s| r.contains(s)))
+            .count();
+        if holders * (pattern.len() - 1) < max_fanin {
+            break;
+        }
+        let gate = net.add_gate(pattern.clone());
+        for row in rows.iter_mut() {
+            if pattern.iter().all(|s| row.contains(s)) {
+                row.retain(|s| !pattern.contains(s));
+                row.push(gate);
+                row.sort_unstable();
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use gf2::{BitMat, BitVec, Gf2Poly};
+
+    /// A matrix whose entries are 1 with probability about `ones / 8`.
+    fn biased_matrix(rows: usize, cols: usize, ones: u32, seed: u64) -> BitMat {
+        let mut m = BitMat::zeros(rows, cols);
+        let mut x = seed | 1;
+        for i in 0..rows {
+            for j in 0..cols {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                if ((x >> 20) & 7) < u64::from(ones) {
+                    m.set(i, j, true);
+                }
+            }
+        }
+        m
+    }
+
+    #[test]
+    fn dense_pair_table_matches_the_hashmap_oracle() {
+        let g = Gf2Poly::from_crc_notation(0x04C1_1DB7, 32);
+        let a = BitMat::companion(&g);
+        let mut mats = vec![
+            a.pow(8),
+            a.pow(32),
+            a.pow(128),
+            BitMat::from_rows(vec![BitVec::from_u64(0x3FF, 10); 10]),
+        ];
+        for seed in 1..13u64 {
+            let (r, c) = (4 + (seed as usize * 7) % 24, 8 + (seed as usize * 13) % 72);
+            mats.push(biased_matrix(r, c, 1 + (seed % 7) as u32, seed));
+        }
+        for m in &mats {
+            for max_fanin in [2, 10] {
+                let opts = SynthOptions {
+                    max_fanin,
+                    share_patterns: true,
+                };
+                assert_eq!(
+                    synthesize(m, opts),
+                    synthesize_with(m, opts, extract_patterns_oracle),
+                    "{}x{} at fan-in {max_fanin}",
+                    m.rows(),
+                    m.cols()
+                );
+            }
+        }
+    }
 
     fn random_matrix(rows: usize, cols: usize, seed: u64) -> BitMat {
         let mut m = BitMat::zeros(rows, cols);
