@@ -2433,7 +2433,8 @@ impl Cluster {
             bytes: Vec<u8>,
         }
         let mut now = 0u64;
-        let mut max_id = 0u64;
+        // Every stream any surviving record names.
+        let mut ids: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
         let mut hosts: BTreeMap<(bool, u32, String), (String, u8)> = BTreeMap::new();
         let mut placed: BTreeMap<u64, u32> = BTreeMap::new();
         let mut anchors: BTreeMap<u64, AnchorInfo> = BTreeMap::new();
@@ -2472,12 +2473,14 @@ impl Cluster {
                 }
                 WalRecord::Open { id, shard, .. } => {
                     placed.insert(*id, *shard);
-                    max_id = max_id.max(*id);
+                    ids.insert(*id);
                 }
-                WalRecord::FeedWatermark { id, .. } => max_id = max_id.max(*id),
+                WalRecord::FeedWatermark { id, .. } => {
+                    ids.insert(*id);
+                }
                 WalRecord::Finish { id } => {
                     finished.insert(*id);
-                    max_id = max_id.max(*id);
+                    ids.insert(*id);
                 }
                 WalRecord::CheckpointAnchor {
                     id,
@@ -2495,25 +2498,25 @@ impl Cluster {
                             bytes: bytes.clone(),
                         },
                     );
-                    max_id = max_id.max(*id);
+                    ids.insert(*id);
                 }
                 WalRecord::MigrateBegin { token, id, to, .. } => {
                     pending_begin.insert(*token, (pos, *id, *to));
-                    max_id = max_id.max(*id);
+                    ids.insert(*id);
                 }
                 WalRecord::Migrated { id, to, .. } => {
                     placed.insert(*id, *to);
                     migrated_at.push((pos, *id, *to));
-                    max_id = max_id.max(*id);
+                    ids.insert(*id);
                 }
                 WalRecord::MigrateAbort { token, id } => {
                     pending_begin.remove(token);
-                    max_id = max_id.max(*id);
+                    ids.insert(*id);
                 }
                 WalRecord::TokenApplied { token, id } => {
                     tokens.insert(*token, *id);
                     pending_begin.remove(token);
-                    max_id = max_id.max(*id);
+                    ids.insert(*id);
                 }
                 WalRecord::Drain { shard } => {
                     shard_states.insert(*shard, ShardState::Draining);
@@ -2531,11 +2534,11 @@ impl Cluster {
                 WalRecord::UpgradeStage { .. } => {}
                 WalRecord::Lost { id, shard, reason } => {
                     lost.insert(*id, (*shard, *reason));
-                    max_id = max_id.max(*id);
+                    ids.insert(*id);
                 }
                 WalRecord::Failover { id, to, .. } => {
                     placed.insert(*id, *to);
-                    max_id = max_id.max(*id);
+                    ids.insert(*id);
                 }
             }
         }
@@ -2560,6 +2563,7 @@ impl Cluster {
         let mut cl = Cluster::new(cfg);
         cl.journal = Some(journal);
         cl.now = now;
+        let max_id = ids.last().copied().unwrap_or(0);
         cl.next_id = max_id.saturating_add(1).max(1);
         cl.log(WalRecord::Clock { now });
         // Everything the fold re-derives — losses, re-placed streams,
@@ -2717,6 +2721,22 @@ impl Cluster {
             }
             let blame = (*shard as usize).min(cl.shards.len().saturating_sub(1));
             cl.declare_lost(*id, blame, LossReason::NoCheckpoint);
+            report.streams_lost += 1;
+        }
+        // A stream whose `Open` (and any `Lost`) frame rotted away is
+        // still named by its other records, such as feed watermarks.
+        // Unplaced, unanchored and neither finished nor lost on record,
+        // it is a live stream without an anchor: a typed loss, blamed on
+        // shard 0 since its shard went with the `Open`.
+        for id in &ids {
+            if placed.contains_key(id)
+                || anchors.contains_key(id)
+                || finished.contains(id)
+                || lost.contains_key(id)
+            {
+                continue;
+            }
+            cl.declare_lost(*id, 0, LossReason::NoCheckpoint);
             report.streams_lost += 1;
         }
 
@@ -2900,7 +2920,7 @@ mod tests {
     }
 
     use lfsr::crc::crc_bitwise;
-    use wal::{CrashKind, SharedDisk, SoftwareHasher};
+    use wal::{CrashKind, SharedDisk, SoftwareHasher, StorageBackend};
 
     fn journaled_cluster(cfg: &ClusterConfig) -> (Cluster, SharedDisk) {
         let disk = SharedDisk::new();
@@ -2987,5 +3007,61 @@ mod tests {
             rec.migrate_with_token(token, id, target),
             Ok(OpApply::Duplicate)
         ));
+    }
+
+    /// A loss outlives bit rot in the frames that recorded it: with the
+    /// stream's `Open` and its `Lost` frame both rotted, the next
+    /// recovery still knows the stream from its feed watermark and
+    /// declares it lost again instead of forgetting it.
+    #[test]
+    fn a_stream_outlives_its_rotted_open_and_loss_frames() {
+        let cfg = ClusterConfig::homogeneous(2, AdmissionConfig::default());
+        let (mut cl, disk) = journaled_cluster(&cfg);
+        let id = cl.open_crc("crc", Priority::High, 8).expect("open");
+        cl.feed(id, &[0x3C; 16]).expect("feed");
+        cl.tick(); // flushes the open and the watermark; no anchor is taken
+
+        let recover = |disk: &SharedDisk| {
+            disk.crash(CrashKind::LostSuffix);
+            let (journal, replay) =
+                Journal::recover(Box::new(disk.clone()), Box::new(SoftwareHasher::new()));
+            Cluster::recover(&cfg, journal, &replay)
+        };
+        drop(cl);
+        let (cl, report) = recover(&disk);
+        assert_eq!(report.streams_lost, 1, "{report:?}");
+        assert_eq!(cl.losses().iter().map(|l| l.id).collect::<Vec<_>>(), [id]);
+        drop(cl);
+
+        let durable = disk.durable();
+        let mut sw = SoftwareHasher::new();
+        let records = wal::replay_bytes(&durable, &mut sw).records;
+        let ranges = wal::payload_ranges(&durable);
+        assert_eq!(records.len(), ranges.len(), "no frame is damaged yet");
+        let frames: Vec<usize> = (0..records.len())
+            .filter(|&i| match &records[i].1 {
+                WalRecord::Open { id: x, .. } | WalRecord::Lost { id: x, .. } => *x == id,
+                _ => false,
+            })
+            .collect();
+        assert_eq!(frames.len(), 2, "one open, one loss");
+        assert!(
+            records
+                .iter()
+                .any(|(_, r)| matches!(r, WalRecord::FeedWatermark { id: x, .. } if *x == id)),
+            "a watermark still names the stream"
+        );
+        for i in frames {
+            disk.corrupt_byte(ranges[i].0, 0x10);
+        }
+
+        let (cl, report) = recover(&disk);
+        assert_eq!(report.corrupt_frames, 2, "{report:?}");
+        assert_eq!(report.streams_lost, 1, "{report:?}");
+        assert_eq!(
+            cl.losses().iter().map(|l| l.id).collect::<Vec<_>>(),
+            [id],
+            "the stream is not forgotten"
+        );
     }
 }

@@ -19,8 +19,8 @@
 //! The journal's own frames are checksummed through a fabric lane
 //! ([`wal::FabricHasher`]) that the campaign degrades, faults and
 //! heals mid-run, so framing the log exercises the paper's recovery
-//! ladder: fabric CRC when the lane is healthy, the Sarwate software
-//! kernel otherwise.
+//! ladder: fabric CRC when the lane is healthy, the software kernel
+//! otherwise.
 //!
 //! The gates are absolute: zero oracle digest mismatches, zero
 //! unaccounted stream losses, zero double-applied tokens, nothing
@@ -70,7 +70,7 @@ pub struct CrashStormConfig {
     /// Datapath width M of the journal's fabric CRC lane.
     pub hasher_m: usize,
     /// Tick at which the journal's fabric lane is forced onto the
-    /// software (Sarwate) path (0 = never).
+    /// software path (0 = never).
     pub degrade_tick: u64,
     /// Tick at which the degraded lane is healed via the recovery
     /// ladder (0 = never).
@@ -177,7 +177,7 @@ pub struct CrashStormReport {
     pub in_doubt_void: u64,
     /// Journal frames checksummed (append + replay sides).
     pub hasher_frames: u64,
-    /// Frames whose CRC took the Sarwate software path.
+    /// Frames whose CRC took the software path.
     pub hasher_software_frames: u64,
     /// Recovery-ladder outcomes observed by the journal's hashers.
     pub hasher_ladder_runs: u64,
@@ -219,7 +219,7 @@ impl CrashStormReport {
     /// Coverage floors proving the campaign exercised what it claims:
     /// at least three crashes with a torn tail and detected bit rot,
     /// and journal frames that rode both the fabric lane's recovery
-    /// ladder and the Sarwate fallback.
+    /// ladder and the software fallback.
     #[must_use]
     pub fn exercised(&self) -> bool {
         self.crashes >= 3
@@ -475,7 +475,7 @@ pub fn run_crash_storm(cfg: &CrashStormConfig) -> Result<CrashStormReport, Clust
         let draining = tick > base.ticks;
 
         if !draining {
-            // Journal-lane chaos: force the Sarwate path, heal through
+            // Journal-lane chaos: force the software path, heal through
             // the ladder, and land an SEU the self-check must catch.
             if cfg.degrade_tick > 0 && tick == cfg.degrade_tick {
                 if let Some(j) = cl.journal_mut() {

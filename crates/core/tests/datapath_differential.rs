@@ -16,13 +16,16 @@ use verify::{EquivError, RowMismatch};
 use xornet::XorNetwork;
 
 /// (catalogue name, M). CRC-16/DECT-R and CRC-64/XZ have no Derby
-/// transform and take the dense lane; the rest are Derby lanes.
-const LANES: [(&str, usize); 7] = [
+/// transform and take the dense lane; the rest are Derby lanes. (CRC-64/XZ
+/// needs more than the fabric's 24 rows above M = 32.)
+const LANES: [(&str, usize); 9] = [
     ("CRC-32/ETHERNET", 8),
     ("CRC-32/ETHERNET", 32),
     ("CRC-32/ETHERNET", 128),
     ("CRC-16/IBM-SDLC", 32),
     ("CRC-16/DECT-R", 8),
+    ("CRC-16/DECT-R", 32),
+    ("CRC-16/DECT-R", 128),
     ("CRC-64/XZ", 8),
     ("CRC-64/XZ", 32),
 ];
@@ -62,7 +65,7 @@ fn checksums_match_bitwise_on_every_lane_with_tails() {
         dense += usize::from(p.derby.is_none());
         sys.register(p).unwrap();
     }
-    assert_eq!(dense, 3, "DECT-R and CRC-64/XZ run dense");
+    assert_eq!(dense, 5, "DECT-R and CRC-64/XZ run dense");
     let mut rng = Rng(0x005E_ED0F_DA7A);
     for round in 0..40 {
         for (i, &(name, m)) in LANES.iter().enumerate() {
@@ -85,6 +88,32 @@ fn checksums_match_bitwise_on_every_lane_with_tails() {
             let residual = bits.slice(whole, bits.len() - whole);
             let (streamed, _) = sys.crc_stream_finish(&lane_name(i), &x, &residual).unwrap();
             assert_eq!(streamed, want, "{name} at M={m}, streamed");
+        }
+    }
+}
+
+/// 1,500 B messages (and a byte or more past them) at M = 128, on a
+/// Derby lane and a dense lane: 93 whole blocks and a tail every time,
+/// the call `step_us` times. The software fallback must agree too.
+#[test]
+fn long_messages_at_m128_match_bitwise_with_tails() {
+    let mut sys = DreamSystem::new(PicogaParams::dream(), ControlModel::default());
+    let names = ["CRC-32/ETHERNET", "CRC-16/DECT-R"];
+    for name in names {
+        let p = build_personality(name, spec(name), &FlowOptions::dream_with_m(128)).unwrap();
+        sys.register(p).unwrap();
+    }
+    let mut rng = Rng(0x0015_00B7);
+    for extra in 0..=17 {
+        let data = rng.bytes(1500 + extra);
+        for name in names {
+            let want = crc_bitwise(spec(name), &data);
+            let (got, report) = sys.checksum(name, &data).unwrap();
+            assert_eq!(got, want, "{name}, {} B", data.len());
+            if extra % 16 != 4 {
+                assert!(report.tail_cycles > 0, "{} B leaves a tail", data.len());
+            }
+            assert_eq!(sys.checksum_software(name, &data).unwrap().0, want);
         }
     }
 }

@@ -15,12 +15,12 @@
 
 use crate::perf::{ControlModel, RunReport};
 use gf2::BitVec;
-use lfsr::crc::{crc_bitwise, message_bits, reflect, CrcSpec, SarwateCrc};
+use lfsr::crc::{crc_bitwise, message_bits, reflect, CrcSpec, SoftwareKernel};
 use lfsr::scramble::{AdditiveScrambler, ScramblerSpec};
 use lfsr::StateSpaceLfsr;
 use lfsr_parallel::DerbyTransform;
 use obs::EventKind;
-use picoga::{PgaOperation, PicogaParams, PicogaSim, SimError};
+use picoga::{OpStats, OpStatsGauges, PgaOperation, PicogaParams, PicogaSim, SimError};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -229,7 +229,7 @@ pub enum Health {
     /// wrong; recovery has not yet succeeded.
     Suspect,
     /// The fabric path is abandoned for this personality; messages run
-    /// on the software Sarwate kernel.
+    /// on the software kernel.
     Fallback,
 }
 
@@ -294,12 +294,16 @@ pub struct DreamSystem {
     health: HashMap<String, Health>,
     /// Handles into the fabric's unified metrics registry.
     ids: DreamIds,
-    /// Lazily built software fallback kernels (Sarwate byte tables).
-    soft: HashMap<String, SarwateCrc>,
-    /// The matrix each registered `(personality, role)` operation
-    /// computes, derived on its first scrub and kept until the
+    /// Lazily built software fallback kernels (slicing-by-8 for
+    /// reflected specs, else Sarwate, else bit-serial).
+    soft: HashMap<String, SoftwareKernel>,
+    /// The matrix each registered personality's operation computes,
+    /// indexed by role, derived on its first scrub and kept until the
     /// personality is replaced.
-    pristine: HashMap<(String, u8), gf2::BitMat>,
+    pristine: HashMap<String, [Option<gf2::BitMat>; 3]>,
+    /// The `op.{name}.{role}` gauges each context load republishes,
+    /// indexed by role, looked up on the first load.
+    gauges: HashMap<String, [Option<OpStatsGauges>; 3]>,
 }
 
 /// Registry handles for the DREAM layer's counters.
@@ -352,6 +356,7 @@ impl DreamSystem {
             ids,
             soft: HashMap::new(),
             pristine: HashMap::new(),
+            gauges: HashMap::new(),
         }
     }
 
@@ -511,22 +516,44 @@ impl DreamSystem {
             self.sim.switch_to(idx)?;
             return Ok(idx);
         }
-        let idx = self.pick_victim_slot();
         let op = self
             .scramblers
             .get(name)
             .map(|p| p.op.clone())
             .ok_or_else(|| SystemError::UnknownPersonality { name: name.into() })?;
+        self.load_on_miss(name, 2, op)
+    }
+
+    /// A configuration-cache miss: loads `op` as `(name, role)` into an
+    /// empty slot, else the LRU victim, republishes its stats and makes
+    /// it active. The clone of a registered operation shares its
+    /// configuration and compile, so the host pays no copy and no
+    /// compile here.
+    fn load_on_miss(
+        &mut self,
+        name: &str,
+        role: u8,
+        op: PgaOperation,
+    ) -> Result<usize, SystemError> {
+        let idx = self.pick_victim_slot();
         let stats = op.stats();
         self.note_cache_miss(name, idx);
         self.sim.load_context(idx, op)?;
-        stats.publish(
-            &mut self.sim.obs_mut().registry,
-            &format!("op.{name}.scrambler"),
-        );
+        let r = usize::from(role.min(2));
+        let gauges = match self.gauges.get(name).and_then(|g| g[r]) {
+            Some(g) => g,
+            None => {
+                let role_name = ["update", "finalize", "scrambler"][r];
+                let prefix = format!("op.{name}.{role_name}");
+                let g = OpStats::gauges(&mut self.sim.obs_mut().registry, &prefix);
+                self.gauges.entry(name.to_string()).or_default()[r] = Some(g);
+                g
+            }
+        };
+        stats.publish_to(&mut self.sim.obs_mut().registry, gauges);
         self.slots[idx] = Some(SlotState {
             personality: name.to_string(),
-            role: 2,
+            role,
             last_use: self.use_clock,
         });
         self.sim.switch_to(idx)?;
@@ -546,12 +573,12 @@ impl DreamSystem {
     /// victim slot was occupied), and attributes subsequent fabric runs
     /// to the incoming personality.
     fn note_cache_miss(&mut self, name: &str, slot: usize) {
-        let evicted = self.slots[slot].as_ref().map(|s| s.personality.clone());
         let hub = self.sim.obs_mut();
         hub.registry.inc(self.ids.cache_misses);
-        if let Some(victim) = evicted {
+        if let Some(victim) = &self.slots[slot] {
             hub.registry.inc(self.ids.cache_evictions);
-            hub.event_for(None, Some(&victim), EventKind::ContextEvict { slot });
+            let lane = Some(victim.personality.as_str());
+            hub.event_for(None, lane, EventKind::ContextEvict { slot });
         }
         hub.profiler.set_lane(name);
     }
@@ -585,7 +612,6 @@ impl DreamSystem {
             return Ok(idx);
         }
         // Miss: pick an empty slot, else the LRU victim.
-        let idx = self.pick_victim_slot();
         let p = self
             .personalities
             .get(name)
@@ -597,21 +623,7 @@ impl DreamSystem {
                 .clone()
                 .ok_or_else(|| SystemError::UnknownPersonality { name: name.into() })?,
         };
-        let stats = op.stats();
-        self.note_cache_miss(name, idx);
-        self.sim.load_context(idx, op)?;
-        let role_name = if role == 0 { "update" } else { "finalize" };
-        stats.publish(
-            &mut self.sim.obs_mut().registry,
-            &format!("op.{name}.{role_name}"),
-        );
-        self.slots[idx] = Some(SlotState {
-            personality: name.to_string(),
-            role,
-            last_use: self.use_clock,
-        });
-        self.sim.switch_to(idx)?;
-        Ok(idx)
+        self.load_on_miss(name, role, op)
     }
 
     /// Computes one message's checksum under the named personality.
@@ -687,7 +699,7 @@ impl DreamSystem {
 /// a ladder the policy layer climbs: [`DreamSystem::reload`] (heals
 /// configuration upsets), [`DreamSystem::replace_personality`] (a
 /// re-synthesized placement can route around dead cells), and
-/// [`DreamSystem::checksum_software`] (the Sarwate kernel always works).
+/// [`DreamSystem::checksum_software`] (the software kernel always works).
 impl DreamSystem {
     /// The underlying fabric simulator (fault-injection campaigns address
     /// contexts and cells through this).
@@ -747,7 +759,9 @@ impl DreamSystem {
 
     /// Configuration scrub: re-proves every resident context equivalent
     /// to the matrix of its pristine registered operation (basis-probe
-    /// proof — complete for linear networks). Personalities with
+    /// proof — complete for linear networks). A resident context that
+    /// still shares the registered configuration (no upset has copied
+    /// it) is that configuration and needs no proof. Personalities with
     /// findings are marked [`Health::Suspect`].
     pub fn scrub(&mut self) -> Vec<ScrubFinding> {
         self.sim.obs_mut().registry.inc(self.ids.scrub_runs);
@@ -769,10 +783,24 @@ impl DreamSystem {
                 _ => self.scramblers.get(&state.personality).map(|p| &p.op),
             };
             let Some(pristine) = pristine else { continue };
-            let expected = self
+            // A resident copy that still shares the registered
+            // configuration is that configuration: every fault hook
+            // copies before it writes.
+            if resident.shares_config(pristine) {
+                continue;
+            }
+            let role = usize::from(state.role.min(2));
+            let cached = self
                 .pristine
-                .entry((state.personality.clone(), state.role))
-                .or_insert_with(|| pristine.network().to_matrix());
+                .get(&state.personality)
+                .and_then(|m| m[role].as_ref());
+            let expected = if let Some(m) = cached {
+                m
+            } else {
+                let m = pristine.network().to_matrix();
+                let entry = self.pristine.entry(state.personality.clone()).or_default();
+                entry[role].insert(m)
+            };
             if let Err(error) = verify::check_network(resident.network(), expected) {
                 findings.push(ScrubFinding {
                     slot,
@@ -1029,14 +1057,16 @@ impl DreamSystem {
         self.evict(&p.name);
         self.tails.insert(p.name.clone(), tail);
         self.soft.remove(&p.name);
-        self.pristine.retain(|(name, _), _| *name != p.name);
+        self.pristine.remove(&p.name);
         self.personalities.insert(p.name.clone(), p);
         self.sim.obs_mut().registry.inc(self.ids.replacements);
         Ok(())
     }
 
-    /// Computes one message's checksum entirely in software (the Sarwate
-    /// byte-table kernel; bit-serial for widths under 8). The last rung
+    /// Computes one message's checksum entirely in software
+    /// ([`SoftwareKernel`]: slicing-by-8 for reflected specs, Sarwate's
+    /// byte table for the others, bit-serial for widths under 8, built on
+    /// the personality's first fallback message). The last rung
     /// of the degradation ladder: no fabric cycles, byte-rate cost on
     /// the control processor.
     ///
@@ -1058,17 +1088,13 @@ impl DreamSystem {
         if data.is_empty() {
             return Err(SystemError::EmptyInput { name: name.into() });
         }
-        let crc = if let Some(s) = self.soft.get_mut(name) {
-            s.reset();
-            s.update(data);
-            s.finalize()
-        } else if let Ok(mut s) = SarwateCrc::new(&spec) {
-            s.update(data);
-            let v = s.finalize();
-            self.soft.insert(name.to_string(), s);
-            v
+        let crc = if let Some(k) = self.soft.get_mut(name) {
+            k.checksum(data)
         } else {
-            crc_bitwise(&spec, data)
+            let mut k = SoftwareKernel::new(&spec);
+            let v = k.checksum(data);
+            self.soft.insert(name.to_string(), k);
+            v
         };
         self.sim.obs_mut().registry.inc(self.ids.fallback_messages);
         let report = RunReport {
@@ -1512,6 +1538,62 @@ pub(crate) mod tests {
             sys.replace_personality(other),
             Err(SystemError::UnknownPersonality { .. })
         ));
+    }
+
+    #[test]
+    fn compiles_stay_exact_through_reload_and_replacement() {
+        let mut sys = system_with(&[
+            ("eth", "CRC-32/ETHERNET", 32),
+            ("hdlc", "CRC-16/IBM-SDLC", 8),
+        ]);
+        let data = b"compile cache".to_vec();
+        let want = crc_bitwise(CrcSpec::crc32_ethernet(), &data);
+        let exact = |sys: &DreamSystem| {
+            (0..sys.params().contexts).all(|s| sys.fabric().compile_is_exact(s) != Some(false))
+        };
+        sys.checksum("eth", &data).unwrap();
+        sys.checksum("hdlc", &data).unwrap();
+        assert!(exact(&sys));
+
+        // A wire flip, then a reload of the pristine operations.
+        let slot = sys.slot_of("eth", 0).unwrap();
+        let fault = semantic_flip_for(&sys, slot);
+        sys.fabric_mut().inject(&fault).unwrap();
+        assert!(exact(&sys));
+        assert_ne!(sys.checksum("eth", &data).unwrap().0, want);
+        let (loads, cycles) = (sys.fabric().loads_seen(), sys.counters().context_load);
+        assert_eq!(sys.reload("eth").unwrap(), 2);
+        assert_eq!(sys.fabric().loads_seen(), loads + 2, "reloads are loads");
+        assert_eq!(
+            sys.counters().context_load,
+            cycles + 2 * sys.params().context_load_cycles
+        );
+        assert!(exact(&sys));
+        assert_eq!(sys.checksum("eth", &data).unwrap().0, want);
+
+        // A stuck cell under the placements, then a re-synthesized
+        // replacement loaded while it is still there.
+        sys.fabric_mut()
+            .inject(&picoga::ConfigFault::StuckCell {
+                row: 0,
+                cell: 0,
+                value: true,
+            })
+            .unwrap();
+        assert!(exact(&sys));
+        let fresh = personality("eth", CrcSpec::crc32_ethernet(), 64).unwrap();
+        sys.replace_personality(fresh).unwrap();
+        sys.checksum("eth", &data).unwrap();
+        assert!(exact(&sys));
+        sys.fabric_mut().clear_stuck_cells();
+        assert!(exact(&sys));
+        assert_eq!(sys.checksum("eth", &data).unwrap().0, want);
+        let hdlc = CrcSpec::by_name("CRC-16/IBM-SDLC").unwrap();
+        assert_eq!(
+            sys.checksum("hdlc", &data).unwrap().0,
+            crc_bitwise(hdlc, &data)
+        );
+        assert!(exact(&sys));
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! The foundational substrate for the picolfsr workspace: bit-packed vectors
 //! ([`BitVec`]), dense matrices ([`BitMat`]) and polynomials ([`Gf2Poly`])
-//! over the two-element Galois field.
+//! over the two-element Galois field, and affine maps compiled to byte
+//! tables ([`AffineTable`]).
 //!
 //! Everything the DATE 2008 paper manipulates — LFSR states, companion
 //! matrices `A`, look-ahead powers `A^M`, Derby's similarity transform
@@ -36,7 +37,9 @@ mod analysis;
 mod bitvec;
 mod matrix;
 mod poly;
+mod table;
 
 pub use bitvec::BitVec;
 pub use matrix::BitMat;
 pub use poly::Gf2Poly;
+pub use table::AffineTable;

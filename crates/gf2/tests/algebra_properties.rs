@@ -1,6 +1,6 @@
 //! Property-based tests of the GF(2) algebra laws.
 
-use gf2::{BitMat, BitVec, Gf2Poly};
+use gf2::{AffineTable, BitMat, BitVec, Gf2Poly};
 use proptest::prelude::*;
 
 fn arb_poly() -> impl Strategy<Value = Gf2Poly> {
@@ -185,6 +185,54 @@ fn word_ops_match_bitwise_definitions_at_edges() {
         for r in [0, 1, 62, 63, 64, 65, 127, 128, 129] {
             word_ops_agree(&a, &a[..len / 2], r, r * 7 + 1, &[0xA5; 17]);
             word_ops_agree(&a, &[], r, 0, &[]);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The byte tables agree with `BitMat::mul_vec` plus the offset, at
+    /// widths that are not multiples of 8 and outputs wider than 64 bits.
+    #[test]
+    fn affine_tables_match_matrix_products(
+        rows in 1usize..150,
+        cols in 0usize..140,
+        seed in any::<u64>(),
+        garbage in any::<u64>(),
+    ) {
+        let mut x = seed | 1;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut bits = |len: usize| {
+            BitVec::from_words((0..len.div_ceil(64)).map(|_| next()).collect(), len)
+        };
+        let m = BitMat::from_rows((0..rows).map(|_| bits(cols)).collect());
+        let c = bits(rows);
+        let t = AffineTable::from_matrix(&m, &c);
+        prop_assert_eq!((t.n_inputs(), t.n_outputs()), (cols, rows));
+        for _ in 0..4 {
+            let u = bits(cols);
+            let mut input = u.words().to_vec();
+            if cols % 64 != 0 {
+                // Bits past the input width must not leak in.
+                *input.last_mut().unwrap() |= garbage << (cols % 64);
+            }
+            let mut y = vec![0u64; t.out_words()];
+            t.apply(&input, &mut y);
+            let want = &m.mul_vec(&u) ^ &c;
+            prop_assert_eq!(BitVec::from_words(y.clone(), rows), want.clone());
+            prop_assert_eq!(&y[..], want.words());
+            let mut acc = want.words().to_vec();
+            t.xor_product(&input, &mut acc);
+            prop_assert_eq!(BitVec::from_words(acc, rows), c.clone());
+            if rows <= 64 {
+                prop_assert_eq!(t.apply_word(|i| input[i]), want.words()[0]);
+            }
         }
     }
 }

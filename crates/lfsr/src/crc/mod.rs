@@ -9,6 +9,8 @@ mod stream;
 
 pub use combine::crc_combine;
 pub use engine::{message_bits, CrcEngine, RawCrcCore, SerialCore};
-pub use software::{crc_bitwise, finalize_raw, reflect, SarwateCrc, SlicingCrc, SoftwareCrcError};
+pub use software::{
+    crc_bitwise, finalize_raw, reflect, SarwateCrc, SlicingCrc, SoftwareCrcError, SoftwareKernel,
+};
 pub use spec::{CrcSpec, SpecError, CATALOG};
 pub use stream::CrcStream;

@@ -354,6 +354,52 @@ impl fmt::Debug for SlicingCrc {
     }
 }
 
+/// The fastest software kernel this module has for a spec, built once
+/// and reused per message: slicing-by-8 when the spec is reflected
+/// (`refin && refout`), Sarwate's byte table for the other specs of
+/// width ≥ 8, and the bit-serial [`crc_bitwise`] below that.
+///
+/// # Examples
+///
+/// ```
+/// use lfsr::crc::{CrcSpec, SoftwareKernel};
+///
+/// let mut k = SoftwareKernel::new(CrcSpec::crc32_ethernet());
+/// assert!(matches!(k, SoftwareKernel::Slicing8(_)));
+/// assert_eq!(k.checksum(b"123456789"), 0xCBF43926);
+/// ```
+#[derive(Clone, Debug)]
+pub enum SoftwareKernel {
+    /// Slicing-by-8 (eight 256-entry tables, 16 KiB).
+    Slicing8(SlicingCrc),
+    /// Sarwate's byte table (one 256-entry table, 2 KiB).
+    Sarwate(SarwateCrc),
+    /// Bit-serial, for widths under 8.
+    Bitwise(CrcSpec),
+}
+
+impl SoftwareKernel {
+    /// Builds the kernel for `spec`.
+    pub fn new(spec: &CrcSpec) -> Self {
+        if let Ok(s) = SlicingCrc::new(spec, 8) {
+            SoftwareKernel::Slicing8(s)
+        } else if let Ok(s) = SarwateCrc::new(spec) {
+            SoftwareKernel::Sarwate(s)
+        } else {
+            SoftwareKernel::Bitwise(*spec)
+        }
+    }
+
+    /// The checksum of `data` under the kernel's spec.
+    pub fn checksum(&mut self, data: &[u8]) -> u64 {
+        match self {
+            SoftwareKernel::Slicing8(s) => s.checksum(data),
+            SoftwareKernel::Sarwate(s) => s.checksum(data),
+            SoftwareKernel::Bitwise(spec) => crc_bitwise(spec, data),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,6 +429,37 @@ mod tests {
                     "{} on {:?}",
                     spec.name,
                     m
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn software_kernel_matches_bitwise_for_every_spec() {
+        let msg: Vec<u8> = (0..1500u32)
+            .map(|i| (i.wrapping_mul(0x9E37) >> 3) as u8)
+            .collect();
+        for spec in CATALOG {
+            let mut k = SoftwareKernel::new(spec);
+            let want_slicing = spec.refin && spec.refout && spec.width >= 8;
+            assert_eq!(
+                matches!(k, SoftwareKernel::Slicing8(_)),
+                want_slicing,
+                "{}",
+                spec.name
+            );
+            assert_eq!(
+                matches!(k, SoftwareKernel::Bitwise(_)),
+                spec.width < 8,
+                "{}",
+                spec.name
+            );
+            for len in (0..=17).chain([1500]) {
+                assert_eq!(
+                    k.checksum(&msg[..len]),
+                    crc_bitwise(spec, &msg[..len]),
+                    "{} len={len}",
+                    spec.name
                 );
             }
         }

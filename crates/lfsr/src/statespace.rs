@@ -48,7 +48,10 @@ impl std::error::Error for LfsrError {}
 ///
 /// The struct owns the four system matrices and the current state, and is
 /// the *serial reference* every parallel engine in `lfsr-parallel` is
-/// verified against.
+/// verified against. [`StateSpaceLfsr::step`] applies the matrices as
+/// written; [`StateSpaceLfsr::absorb`] and [`StateSpaceLfsr::transduce`]
+/// step the same system on packed words (a word-oriented LFSR in the
+/// sense of Tsaban and Vishne).
 #[derive(Clone, PartialEq, Eq)]
 pub struct StateSpaceLfsr {
     a: BitMat,
@@ -56,6 +59,84 @@ pub struct StateSpaceLfsr {
     c: BitMat,
     d: BitVec,
     state: BitVec,
+    packed: Packed,
+}
+
+/// `A`'s columns, `b` and `C`'s first row as LSB-first words, packed
+/// once at construction for the word-level engine.
+#[derive(Clone, PartialEq, Eq)]
+struct Packed {
+    /// Words per state vector, `k.div_ceil(64)`.
+    kw: usize,
+    /// Column `j` of `A` is `a_cols[j·kw..(j + 1)·kw]`.
+    a_cols: Vec<u64>,
+    b: Vec<u64>,
+    /// Row 0 of `C` (empty when `C` has no rows).
+    c0: Vec<u64>,
+}
+
+impl Packed {
+    fn new(a: &BitMat, b: &BitVec, c: &BitMat) -> Packed {
+        let kw = a.rows().div_ceil(64);
+        let mut a_cols = vec![0u64; a.cols() * kw];
+        for (i, row) in a.iter_rows().enumerate() {
+            for j in row.iter_ones() {
+                a_cols[j * kw + i / 64] |= 1 << (i % 64);
+            }
+        }
+        Packed {
+            kw,
+            a_cols,
+            b: b.words().to_vec(),
+            c0: c
+                .iter_rows()
+                .next()
+                .map_or(Vec::new(), |r| r.words().to_vec()),
+        }
+    }
+
+    /// `next = A·x ⊕ b·u`, XORing the column of every set state bit.
+    #[inline]
+    fn step(&self, x: &[u64], u: bool, next: &mut [u64]) {
+        let kw = self.kw;
+        if kw == 1 {
+            let mut acc = if u { self.b[0] } else { 0 };
+            let mut w = x[0];
+            while w != 0 {
+                acc ^= self.a_cols[w.trailing_zeros() as usize];
+                w &= w - 1;
+            }
+            next[0] = acc;
+            return;
+        }
+        if u {
+            next.copy_from_slice(&self.b);
+        } else {
+            next.fill(0);
+        }
+        for (wi, &xw) in x.iter().enumerate() {
+            let mut w = xw;
+            while w != 0 {
+                let j = 64 * wi + w.trailing_zeros() as usize;
+                for (n, a) in next.iter_mut().zip(&self.a_cols[j * kw..][..kw]) {
+                    *n ^= a;
+                }
+                w &= w - 1;
+            }
+        }
+    }
+
+    /// `C`'s first row dotted with `x`.
+    #[inline]
+    fn out0(&self, x: &[u64]) -> bool {
+        self.c0
+            .iter()
+            .zip(x)
+            .fold(0, |acc, (c, x)| acc ^ (c & x))
+            .count_ones()
+            & 1
+            == 1
+    }
 }
 
 impl StateSpaceLfsr {
@@ -88,7 +169,15 @@ impl StateSpaceLfsr {
             });
         }
         let state = BitVec::zeros(k);
-        Ok(StateSpaceLfsr { a, b, c, d, state })
+        let packed = Packed::new(&a, &b, &c);
+        Ok(StateSpaceLfsr {
+            a,
+            b,
+            c,
+            d,
+            state,
+            packed,
+        })
     }
 
     /// The serial CRC system for generator `g`: `A = companion(g)`,
@@ -276,29 +365,44 @@ impl StateSpaceLfsr {
     }
 
     /// Steps through `bits` in index order (bit 0 of `bits` first),
-    /// discarding outputs — the CRC usage pattern.
+    /// discarding outputs — the CRC usage pattern. Runs on packed words;
+    /// the result equals `bits.len()` calls of [`StateSpaceLfsr::step`].
     pub fn absorb(&mut self, bits: &BitVec) {
-        for i in 0..bits.len() {
-            self.step(bits.get(i));
-        }
+        self.run_words(bits, None);
     }
 
     /// Steps through `bits`, collecting the (single-bit) outputs — the
-    /// scrambler usage pattern.
+    /// scrambler usage pattern. Runs on packed words, like
+    /// [`StateSpaceLfsr::absorb`].
     ///
     /// # Panics
     ///
     /// Panics if the output dimension is not 1.
     pub fn transduce(&mut self, bits: &BitVec) -> BitVec {
         assert_eq!(self.out_dim(), 1, "transduce requires scalar output");
-        let mut out = BitVec::zeros(bits.len());
+        let mut out = vec![0u64; bits.len().div_ceil(64)];
+        self.run_words(bits, Some(&mut out));
+        BitVec::from_words(out, bits.len())
+    }
+
+    /// The word-level engine behind `absorb` and `transduce`: one step
+    /// per bit of `bits`, writing output `i` to bit `i` of `out` when
+    /// given.
+    fn run_words(&mut self, bits: &BitVec, mut out: Option<&mut [u64]>) {
+        let p = &self.packed;
+        let d0 = self.d.words().first().is_some_and(|w| w & 1 == 1);
+        let mut x = self.state.words().to_vec();
+        let mut next = vec![0u64; p.kw];
         for i in 0..bits.len() {
-            let y = self.step(bits.get(i));
-            if y.get(0) {
-                out.set(i, true);
+            let u = bits.get(i);
+            if let Some(out) = out.as_deref_mut() {
+                let y = p.out0(&x) ^ (u && d0);
+                out[i / 64] |= u64::from(y) << (i % 64);
             }
+            p.step(&x, u, &mut next);
+            std::mem::swap(&mut x, &mut next);
         }
-        out
+        self.state = BitVec::from_words(x, self.dim());
     }
 }
 

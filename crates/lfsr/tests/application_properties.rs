@@ -1,11 +1,49 @@
 //! Property-based tests of the LFSR application layer.
 
-use gf2::BitVec;
+use gf2::{BitMat, BitVec, Gf2Poly};
 use lfsr::crc::{crc_bitwise, crc_combine, CrcSpec, CrcStream, SerialCore, CATALOG};
 use lfsr::scramble::{
     AdditiveScrambler, MultiplicativeScrambler, ScramblerSpec, SCRAMBLER_CATALOG,
 };
+use lfsr::StateSpaceLfsr;
 use proptest::prelude::*;
+
+/// A random `k`-state system with a scalar output (`C` one row).
+fn random_system(k: usize, seed: u64) -> StateSpaceLfsr {
+    let mut x = seed | 1;
+    let mut bits = |len: usize| {
+        BitVec::from_bits((0..len).map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x & 1 == 1
+        }))
+    };
+    let a = BitMat::from_rows((0..k).map(|_| bits(k)).collect());
+    let (b, c, d) = (bits(k), bits(k), bits(1));
+    let mut sys = StateSpaceLfsr::new(a, b, BitMat::from_rows(vec![c]), d).unwrap();
+    sys.set_state(bits(k));
+    sys
+}
+
+/// The word-level engines against repeated `step`, the `BitMat`
+/// reference, for one system and one input.
+fn word_engines_match_step(mut sys: StateSpaceLfsr, input: &BitVec) {
+    let mut reference = sys.clone();
+    let outputs: BitVec = (0..input.len())
+        .map(|i| reference.step(input.get(i)).get(0))
+        .collect();
+    let mut absorbed = sys.clone();
+    absorbed.absorb(input);
+    assert_eq!(
+        absorbed.state(),
+        reference.state(),
+        "absorb, k={}",
+        sys.dim()
+    );
+    assert_eq!(sys.transduce(input), outputs, "transduce, k={}", sys.dim());
+    assert_eq!(sys.state(), reference.state());
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -116,5 +154,52 @@ proptest! {
             (data[i / 8] >> shift) & 1 == 1
         }));
         prop_assert_eq!(lfsr::crc::message_bits(spec, &data), want);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `absorb` and `transduce` step on packed words; they must equal
+    /// repeated `step` on random systems, across the one-word and
+    /// multi-word state layouts.
+    #[test]
+    fn word_engines_match_repeated_steps(
+        k_idx in 0usize..6,
+        seed in any::<u64>(),
+        input in proptest::collection::vec(any::<bool>(), 0..200),
+    ) {
+        let k = [1, 7, 32, 63, 64, 65][k_idx];
+        word_engines_match_step(random_system(k, seed), &BitVec::from_bits(input));
+    }
+}
+
+#[test]
+fn word_engines_match_repeated_steps_on_the_standard_systems() {
+    let data = BitVec::from_words(vec![0x0123_4567_89AB_CDEF, 0xFEDC_BA98], 100);
+    let crc32 = Gf2Poly::from_crc_notation(0x04C1_1DB7, 32);
+    let pcs = {
+        let mut p = Gf2Poly::x_pow(58);
+        p.set_coeff(39, true);
+        p.set_coeff(0, true);
+        p
+    };
+    let mut crc = StateSpaceLfsr::crc(&crc32).unwrap();
+    crc.set_state(BitVec::from_u64(0xDEAD_BEEF, 32));
+    let mut reference = crc.clone();
+    for i in 0..data.len() {
+        reference.step(data.get(i));
+    }
+    crc.absorb(&data);
+    assert_eq!(crc.state(), reference.state());
+    for sys in [
+        StateSpaceLfsr::additive_scrambler(&Gf2Poly::from_u64(0b1001_0001)).unwrap(),
+        StateSpaceLfsr::multiplicative_scrambler(&pcs).unwrap(),
+        StateSpaceLfsr::multiplicative_descrambler(&pcs).unwrap(),
+    ] {
+        let mut sys = sys;
+        let k = sys.dim();
+        sys.set_state(BitVec::from_words(vec![0x5A5A_5A5A_5A5A_5A5A], k));
+        word_engines_match_step(sys, &data);
     }
 }

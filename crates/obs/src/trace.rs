@@ -5,8 +5,9 @@
 //! byte-identical traces. A monotonically increasing sequence number keeps
 //! global ordering even after the ring drops old events.
 
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use crate::json_escape;
 use crate::span::{SpanCtx, SpanId, SpanRecord};
@@ -321,8 +322,9 @@ pub struct TraceEvent {
     pub cycle: u64,
     /// Correlated stream id, when the event belongs to a session.
     pub stream: Option<u64>,
-    /// Correlated personality/lane name, when known.
-    pub lane: Option<String>,
+    /// Correlated personality/lane name, when known: the tracer's one
+    /// shared copy of that name.
+    pub lane: Option<Arc<str>>,
     /// Enclosing causal span's raw id, when the event happened inside
     /// one (see [`crate::SpanId`]).
     pub span: Option<u64>,
@@ -339,6 +341,9 @@ pub struct Tracer {
     buf: VecDeque<TraceEvent>,
     spans: Vec<SpanRecord>,
     span_misuse: u64,
+    /// One shared copy of every lane name recorded so far, so an event
+    /// holds a pointer instead of its own string.
+    lanes: HashSet<Arc<str>>,
 }
 
 impl Tracer {
@@ -352,6 +357,7 @@ impl Tracer {
             buf: VecDeque::new(),
             spans: Vec::new(),
             span_misuse: 0,
+            lanes: HashSet::new(),
         }
     }
 
@@ -387,15 +393,26 @@ impl Tracer {
             self.buf.pop_front();
             self.dropped = self.dropped.saturating_add(1);
         }
+        let lane = lane.map(|l| self.intern(l));
         self.buf.push_back(TraceEvent {
             seq: self.next_seq,
             cycle,
             stream,
-            lane: lane.map(str::to_owned),
+            lane,
             span,
             kind,
         });
         self.next_seq = self.next_seq.saturating_add(1);
+    }
+
+    /// The shared copy of `lane`, made on its first use.
+    fn intern(&mut self, lane: &str) -> Arc<str> {
+        if let Some(l) = self.lanes.get(lane) {
+            return Arc::clone(l);
+        }
+        let l: Arc<str> = Arc::from(lane);
+        self.lanes.insert(Arc::clone(&l));
+        l
     }
 
     /// Opens a causal span for operation `op` at simulated `cycle` with

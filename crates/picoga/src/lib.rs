@@ -16,6 +16,7 @@
 #![warn(missing_docs)]
 
 mod arch;
+mod compiled;
 mod fault;
 mod op;
 mod sim;
@@ -24,6 +25,6 @@ mod wavefront;
 
 pub use arch::PicogaParams;
 pub use fault::{ConfigFault, FaultPlan, InjectError, LoadCorruption, LoadFault};
-pub use op::{CompanionFeedback, MapError, OpStats, PgaOperation, Placement};
+pub use op::{CompanionFeedback, MapError, OpStats, OpStatsGauges, PgaOperation, Placement};
 pub use sim::{CycleCounters, PicogaSim, SimError};
 pub use wavefront::{run_crc_wavefront, WavefrontTrace};

@@ -15,9 +15,11 @@
 //!   Derby's method for a *pipelined* gate array.
 
 use crate::arch::PicogaParams;
+use crate::compiled::Compiled;
 use crate::fault::InjectError;
 use gf2::{BitMat, BitVec};
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 use xornet::XorNetwork;
 
 /// Errors from mapping an operation onto the fabric.
@@ -185,10 +187,23 @@ impl CompanionFeedback {
         next
     }
 
+    /// [`CompanionFeedback::apply`] on one word, for `k ≤ 64`: the
+    /// returned step maps `(x, p)` to `A_Mt·x ⊕ p`.
+    pub(crate) fn word_step(&self) -> impl Fn(u64, u64) -> u64 {
+        debug_assert!((1..=64).contains(&self.k));
+        let (top, mask) = (self.k - 1, u64::MAX >> (64 - self.k));
+        let g = self.g_col.words().first().copied().unwrap_or(0);
+        move |x, p| ((x << 1) & mask) ^ p ^ (g & ((x >> top) & 1).wrapping_neg())
+    }
+
     /// [`CompanionFeedback::apply`] on packed words: `x` and `p` hold the
     /// `k` state and input bits as `k.div_ceil(64)` LSB-first words, and
     /// `x` is updated in place.
     pub(crate) fn step_words(&self, x: &mut [u64], p: &[u64]) {
+        if let ([w], [pw]) = (&mut *x, p) {
+            *w = self.word_step()(*w, *pw);
+            return;
+        }
         let k = self.k;
         let fold = ((x[(k - 1) / 64] >> ((k - 1) % 64)) & 1).wrapping_neg();
         let mut carry = 0;
@@ -230,12 +245,53 @@ enum OpKind {
 }
 
 /// A placed, validated PiCoGA operation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Clones share one configuration through an `Arc`, so a clone costs
+/// O(1); the fault hooks ([`PgaOperation::corrupt_wire`],
+/// [`PgaOperation::corrupt_output_tap`]) copy it on write. The shared
+/// configuration also keeps the host's stuck-free compile of itself,
+/// made on its first load: every clone reuses it until a fault hook
+/// gives that clone a configuration of its own, without a compile.
+#[derive(Clone)]
 pub struct PgaOperation {
+    config: Arc<Config>,
+}
+
+/// What the clones of an operation share.
+#[derive(Clone)]
+struct Config {
     name: String,
     net: XorNetwork,
     placement: Placement,
     kind: OpKind,
+    /// The compile of this configuration on a fabric with no stuck
+    /// cells under it, made on first use.
+    compiled: OnceLock<Arc<Compiled>>,
+}
+
+impl PartialEq for PgaOperation {
+    fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (&*self.config, &*other.config);
+        Arc::ptr_eq(&self.config, &other.config)
+            || (a.name == b.name
+                && a.net == b.net
+                && a.placement == b.placement
+                && a.kind == b.kind)
+    }
+}
+
+impl Eq for PgaOperation {}
+
+impl fmt::Debug for PgaOperation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let c = &*self.config;
+        f.debug_struct("PgaOperation")
+            .field("name", &c.name)
+            .field("net", &c.net)
+            .field("placement", &c.placement)
+            .field("kind", &c.kind)
+            .finish()
+    }
 }
 
 /// Resource/latency statistics of a placed operation.
@@ -255,7 +311,23 @@ pub struct OpStats {
     pub latency: u64,
 }
 
+/// The six gauges [`OpStats::publish`] writes under one prefix, looked
+/// up once so an operation that is published again and again (on every
+/// context load) skips the name formatting and lookups.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OpStatsGauges([obs::GaugeId; 6]);
+
 impl OpStats {
+    /// Gauge name suffixes, in publishing order.
+    const SUFFIXES: [&'static str; 6] = [
+        "rows",
+        "cells",
+        "input_bits",
+        "output_bits",
+        "ii",
+        "latency",
+    ];
+
     /// Publishes the stats as gauges `{prefix}.rows`, `{prefix}.cells`,
     /// `{prefix}.input_bits`, `{prefix}.output_bits`, `{prefix}.ii`,
     /// `{prefix}.latency` into the unified registry, making the legacy
@@ -266,28 +338,37 @@ impl OpStats {
     /// Panics if a field exceeds `i64::MAX` (impossible for any real
     /// fabric) or if a name is already registered as a non-gauge.
     pub fn publish(&self, reg: &mut obs::MetricsRegistry, prefix: &str) {
-        let mut set = |suffix: &str, v: i64| {
-            let id = reg.gauge(&format!("{prefix}.{suffix}"));
-            reg.set_gauge(id, v);
-        };
-        set("rows", i64::try_from(self.rows).expect("rows fits i64"));
-        set("cells", i64::try_from(self.cells).expect("cells fits i64"));
-        set(
-            "input_bits",
-            i64::try_from(self.input_bits).expect("input_bits fits i64"),
-        );
-        set(
-            "output_bits",
-            i64::try_from(self.output_bits).expect("output_bits fits i64"),
-        );
-        set(
-            "ii",
-            i64::try_from(self.initiation_interval).expect("ii fits i64"),
-        );
-        set(
-            "latency",
-            i64::try_from(self.latency).expect("latency fits i64"),
-        );
+        let gauges = OpStats::gauges(reg, prefix);
+        self.publish_to(reg, gauges);
+    }
+
+    /// Registers (or finds) the gauges [`OpStats::publish`] writes under
+    /// `prefix`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a name is already registered as a non-gauge.
+    pub fn gauges(reg: &mut obs::MetricsRegistry, prefix: &str) -> OpStatsGauges {
+        OpStatsGauges(OpStats::SUFFIXES.map(|suffix| reg.gauge(&format!("{prefix}.{suffix}"))))
+    }
+
+    /// [`OpStats::publish`] into gauges found by [`OpStats::gauges`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a field exceeds `i64::MAX`.
+    pub fn publish_to(&self, reg: &mut obs::MetricsRegistry, gauges: OpStatsGauges) {
+        let values = [
+            self.rows as u64,
+            self.cells as u64,
+            self.input_bits as u64,
+            self.output_bits as u64,
+            self.initiation_interval,
+            self.latency,
+        ];
+        for (id, v) in gauges.0.into_iter().zip(values) {
+            reg.set_gauge(id, i64::try_from(v).expect("op stat fits i64"));
+        }
     }
 
     /// Reassembles stats published under `prefix` by [`OpStats::publish`].
@@ -307,6 +388,52 @@ impl OpStats {
 }
 
 impl PgaOperation {
+    fn from_parts(name: String, net: XorNetwork, placement: Placement, kind: OpKind) -> Self {
+        PgaOperation {
+            config: Arc::new(Config {
+                name,
+                net,
+                placement,
+                kind,
+                compiled: OnceLock::new(),
+            }),
+        }
+    }
+
+    /// The configuration for writing: copied first when other clones
+    /// share it, and without its compile, which no longer describes it.
+    fn config_mut(&mut self) -> &mut Config {
+        let config = Arc::make_mut(&mut self.config);
+        config.compiled = OnceLock::new();
+        config
+    }
+
+    /// The stuck-free compile of this configuration, made on first use
+    /// and shared by every clone that still shares the configuration.
+    pub(crate) fn compiled(&self) -> Arc<Compiled> {
+        let c = self
+            .config
+            .compiled
+            .get_or_init(|| Arc::new(Compiled::new(self, &[])));
+        Arc::clone(c)
+    }
+
+    /// Whether `self` and `other` share one configuration: one is a
+    /// clone of the other and neither has been corrupted since, so they
+    /// are the same configuration bit for bit.
+    pub fn shares_config(&self, other: &PgaOperation) -> bool {
+        Arc::ptr_eq(&self.config, &other.config)
+    }
+
+    /// Whether `code` is this configuration's cached compile.
+    #[cfg(test)]
+    pub(crate) fn shares_compile(&self, code: &Arc<Compiled>) -> bool {
+        self.config
+            .compiled
+            .get()
+            .is_some_and(|c| Arc::ptr_eq(c, code))
+    }
+
     /// Maps a pure feed-forward network.
     ///
     /// # Errors
@@ -325,12 +452,12 @@ impl PgaOperation {
                 available: params.rows,
             });
         }
-        Ok(PgaOperation {
-            name: name.into(),
+        Ok(PgaOperation::from_parts(
+            name.into(),
             net,
             placement,
-            kind: OpKind::Linear,
-        })
+            OpKind::Linear,
+        ))
     }
 
     /// Maps a Derby CRC state update: `net` computes `p = B_Mt·u` (its
@@ -369,16 +496,16 @@ impl PgaOperation {
                 available: params.rows,
             });
         }
-        Ok(PgaOperation {
-            name: name.into(),
+        Ok(PgaOperation::from_parts(
+            name.into(),
             net,
             placement,
-            kind: OpKind::CrcUpdate(CompanionFeedback {
+            OpKind::CrcUpdate(CompanionFeedback {
                 k,
                 g_col: a_mt.column(k - 1),
                 cells: fb_cells,
             }),
-        })
+        ))
     }
 
     /// Maps a dense (untransformed) look-ahead CRC update: `net` computes
@@ -429,12 +556,12 @@ impl PgaOperation {
                 available: params.rows,
             });
         }
-        Ok(PgaOperation {
-            name: name.into(),
+        Ok(PgaOperation::from_parts(
+            name.into(),
             net,
             placement,
-            kind: OpKind::CrcUpdateDense { k },
-        })
+            OpKind::CrcUpdateDense { k },
+        ))
     }
 
     /// Maps an autonomous scrambler operation: `a_mt` is the (transformed)
@@ -496,11 +623,11 @@ impl PgaOperation {
                 available: params.rows,
             });
         }
-        Ok(PgaOperation {
-            name: name.into(),
+        Ok(PgaOperation::from_parts(
+            name.into(),
             net,
             placement,
-            kind: OpKind::Scrambler {
+            OpKind::Scrambler {
                 feedback: CompanionFeedback {
                     k,
                     g_col: a_mt.column(k - 1),
@@ -508,7 +635,7 @@ impl PgaOperation {
                 },
                 m,
             },
-        })
+        ))
     }
 
     fn check_common(
@@ -544,22 +671,22 @@ impl PgaOperation {
 
     /// Operation name.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.config.name
     }
 
     /// The feed-forward network.
     pub fn network(&self) -> &XorNetwork {
-        &self.net
+        &self.config.net
     }
 
     /// The row placement of the feed-forward network.
     pub fn placement(&self) -> &Placement {
-        &self.placement
+        &self.config.placement
     }
 
     /// The companion feedback stage, if this op has one.
     pub fn feedback(&self) -> Option<&CompanionFeedback> {
-        match &self.kind {
+        match &self.config.kind {
             OpKind::CrcUpdate(fb) => Some(fb),
             OpKind::Scrambler { feedback, .. } => Some(feedback),
             OpKind::Linear | OpKind::CrcUpdateDense { .. } => None,
@@ -568,7 +695,7 @@ impl PgaOperation {
 
     /// The block size M consumed per issue, if this is a scrambler op.
     pub fn scrambler_m(&self) -> Option<usize> {
-        match &self.kind {
+        match &self.config.kind {
             OpKind::Scrambler { m, .. } => Some(*m),
             _ => None,
         }
@@ -576,12 +703,12 @@ impl PgaOperation {
 
     /// `true` if this op carries a CRC-update feedback stage.
     pub fn is_crc_update(&self) -> bool {
-        matches!(self.kind, OpKind::CrcUpdate(_))
+        matches!(self.config.kind, OpKind::CrcUpdate(_))
     }
 
     /// The state width of a dense look-ahead update, if this is one.
     pub fn dense_update_k(&self) -> Option<usize> {
-        match &self.kind {
+        match &self.config.kind {
             OpKind::CrcUpdateDense { k } => Some(*k),
             _ => None,
         }
@@ -589,12 +716,12 @@ impl PgaOperation {
 
     /// `true` if this op is a pure feed-forward network.
     pub fn is_linear(&self) -> bool {
-        matches!(self.kind, OpKind::Linear)
+        matches!(self.config.kind, OpKind::Linear)
     }
 
     /// A stable name for the operation's shape, for reports and lints.
     pub fn kind_name(&self) -> &'static str {
-        match &self.kind {
+        match &self.config.kind {
             OpKind::Linear => "linear",
             OpKind::CrcUpdate(_) => "crc-update",
             OpKind::Scrambler { .. } => "scrambler",
@@ -618,7 +745,7 @@ impl PgaOperation {
         pin: usize,
         new_signal: usize,
     ) -> Result<(), InjectError> {
-        let gates = self.net.gates();
+        let gates = self.config.net.gates();
         let Some(g) = gates.get(gate) else {
             return Err(InjectError::BadCoordinate {
                 what: "gate",
@@ -633,7 +760,7 @@ impl PgaOperation {
                 bound: g.inputs.len(),
             });
         }
-        let own = self.net.n_inputs() + gate;
+        let own = self.config.net.n_inputs() + gate;
         if new_signal >= own {
             return Err(InjectError::BadCoordinate {
                 what: "wire source signal",
@@ -641,7 +768,7 @@ impl PgaOperation {
                 bound: own,
             });
         }
-        self.net.set_gate_input(gate, pin, new_signal);
+        self.config_mut().net.set_gate_input(gate, pin, new_signal);
         Ok(())
     }
 
@@ -658,45 +785,45 @@ impl PgaOperation {
         output: usize,
         new_tap: Option<usize>,
     ) -> Result<(), InjectError> {
-        if output >= self.net.outputs().len() {
+        if output >= self.config.net.outputs().len() {
             return Err(InjectError::BadCoordinate {
                 what: "output",
                 got: output,
-                bound: self.net.outputs().len(),
+                bound: self.config.net.outputs().len(),
             });
         }
         if let Some(s) = new_tap {
-            if s >= self.net.n_signals() {
+            if s >= self.config.net.n_signals() {
                 return Err(InjectError::BadCoordinate {
                     what: "tap signal",
                     got: s,
-                    bound: self.net.n_signals(),
+                    bound: self.config.net.n_signals(),
                 });
             }
         }
-        self.net.set_output(output, new_tap);
+        self.config_mut().net.set_output(output, new_tap);
         Ok(())
     }
 
     /// Resource and timing statistics.
     pub fn stats(&self) -> OpStats {
         let fb = self.feedback();
-        let rows = self.placement.row_count() + fb.map_or(0, |_| 1);
-        let cells = self.placement.cell_count() + fb.map_or(0, |f| f.cells);
-        let ii = match &self.kind {
+        let rows = self.config.placement.row_count() + fb.map_or(0, |_| 1);
+        let cells = self.config.placement.cell_count() + fb.map_or(0, |f| f.cells);
+        let ii = match &self.config.kind {
             OpKind::CrcUpdateDense { .. } => (rows as u64).max(1),
             _ => 1,
         };
         OpStats {
             rows,
             cells,
-            input_bits: match &self.kind {
+            input_bits: match &self.config.kind {
                 OpKind::Scrambler { m, .. } => *m,
-                OpKind::CrcUpdateDense { k } => self.net.n_inputs() - k,
-                _ => self.net.n_inputs(),
+                OpKind::CrcUpdateDense { k } => self.config.net.n_inputs() - k,
+                _ => self.config.net.n_inputs(),
             },
-            output_bits: match &self.kind {
-                OpKind::Linear | OpKind::Scrambler { .. } => self.net.outputs().len(),
+            output_bits: match &self.config.kind {
+                OpKind::Linear | OpKind::Scrambler { .. } => self.config.net.outputs().len(),
                 OpKind::CrcUpdate(f) => f.k,
                 OpKind::CrcUpdateDense { k } => *k,
             },
@@ -712,7 +839,7 @@ impl fmt::Display for PgaOperation {
         write!(
             f,
             "PGA op '{}': {} rows, {} cells, in {} / out {} bits, latency {}",
-            self.name, s.rows, s.cells, s.input_bits, s.output_bits, s.latency
+            self.config.name, s.rows, s.cells, s.input_bits, s.output_bits, s.latency
         )
     }
 }
@@ -839,6 +966,28 @@ mod tests {
     }
 
     #[test]
+    fn clones_share_until_a_fault_hook_copies() {
+        let net = net_from(&BitMat::identity(8));
+        let op = PgaOperation::linear("id", net, &PicogaParams::dream()).unwrap();
+        let mut copy = op.clone();
+        assert!(copy.shares_config(&op));
+        assert!(copy.corrupt_wire(999, 0, 0).is_err());
+        assert!(copy.shares_config(&op), "a refused hook copies nothing");
+        copy.corrupt_output_tap(0, None).unwrap();
+        assert!(!copy.shares_config(&op));
+        assert_ne!(copy, op);
+        assert!(
+            op.network().outputs()[0].is_some(),
+            "the original is untouched"
+        );
+        let equal =
+            PgaOperation::linear("id", net_from(&BitMat::identity(8)), &PicogaParams::dream())
+                .unwrap();
+        assert!(!equal.shares_config(&op));
+        assert_eq!(equal, op, "equality compares configurations, not sharing");
+    }
+
+    #[test]
     fn word_step_matches_bitwise_apply() {
         let mut r = 0x2545_F491_4F6C_DD1Du64;
         let mut next = move || {
@@ -856,6 +1005,10 @@ mod tests {
                 let mut w = x.words().to_vec();
                 fb.step_words(&mut w, p.words());
                 assert_eq!(BitVec::from_words(w, k), fb.apply(&x, &p), "k={k}");
+                if k <= 64 {
+                    let one = fb.word_step()(x.words()[0], p.words()[0]);
+                    assert_eq!(BitVec::from_words(vec![one], k), fb.apply(&x, &p));
+                }
             }
         }
     }
@@ -905,6 +1058,11 @@ mod tests {
         let mut reg = obs::MetricsRegistry::new();
         stats.publish(&mut reg, "op.eth32.update");
         assert_eq!(OpStats::from_registry(&reg, "op.eth32.update"), Some(stats));
+        let gauges = OpStats::gauges(&mut reg, "op.eth32.update");
+        assert_eq!(reg.len(), 6, "the same six gauges");
+        let grown = OpStats { rows: 8, ..stats };
+        grown.publish_to(&mut reg, gauges);
+        assert_eq!(OpStats::from_registry(&reg, "op.eth32.update"), Some(grown));
         assert_eq!(OpStats::from_registry(&reg, "op.missing"), None);
     }
 

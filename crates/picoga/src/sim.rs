@@ -13,12 +13,13 @@
 //!   [`PicogaParams::context_load_cycles`] and is charged only on misses.
 
 use crate::arch::PicogaParams;
+use crate::compiled::Compiled;
 use crate::fault::{ConfigFault, InjectError, LoadCorruption, LoadFault};
 use crate::op::{OpStats, PgaOperation};
-use crate::tape::{gather, scatter, Tape};
 use gf2::BitVec;
 use obs::{EventKind, ObsHub};
 use std::fmt;
+use std::sync::Arc;
 #[cfg(test)]
 use {crate::op::Placement, xornet::XorNetwork};
 
@@ -119,33 +120,83 @@ pub struct PicogaSim {
     /// Count of `load_context` calls since construction (the 0-based
     /// index [`LoadCorruption::load_index`] refers to).
     loads_seen: u64,
-    /// Words the tapes evaluate into, reused across calls.
-    lanes: Lanes,
+    /// Buffers the datapath evaluates into, reused across calls.
+    scratch: Scratch,
 }
 
-/// One resident context: the configuration as stored, and the tape the
-/// host runs for it (recompiled whenever the configuration or the
+/// One resident context: the configuration as stored, and its compiled
+/// form, which the host runs (replaced whenever the configuration or the
 /// stuck-cell set changes).
 #[derive(Debug, Clone)]
 struct Context {
     op: PgaOperation,
-    tape: Tape,
+    code: Arc<Compiled>,
 }
 
-/// Reusable buffers of the tape evaluation: one word per signal, and the
-/// per-block words a chunk's outputs or states are unpacked into.
+/// Reusable buffers: the tape's signal words for a probe sweep, and one
+/// result's words.
 #[derive(Debug, Clone, Default)]
-struct Lanes {
+struct Scratch {
     values: Vec<u64>,
-    rows: Vec<u64>,
+    out: Vec<u64>,
 }
-
-/// Most blocks one tape pass evaluates: one per bit of a word.
-const CHUNK: usize = 64;
 
 /// The first `k` bits of `v` as `k.div_ceil(64)` LSB-first words.
 fn state_words(v: &BitVec, k: usize) -> Vec<u64> {
     v.resized(k).words().to_vec()
+}
+
+/// Word `g` of block `b` of a packed stream of `m`-bit blocks, that is,
+/// bits `[b·m + 64g, b·m + 64g + 64)` of `bits`. The stream's words
+/// past the block may follow in the high bits; the tables ignore them.
+/// Only words that start inside one of the stream's blocks are read.
+fn packed(bits: &BitVec, m: usize) -> impl Fn(usize, usize) -> u64 + '_ {
+    let words = bits.words();
+    // When m divides 64 or 64 divides m, no block's bits cross from one
+    // stream word into the next.
+    let straddles = !(64usize.is_multiple_of(m) || m.is_multiple_of(64));
+    move |b, g| {
+        let start = b * m + 64 * g;
+        let (wi, sh) = (start / 64, start % 64);
+        let lo = words[wi] >> sh;
+        if straddles && sh != 0 {
+            lo | words.get(wi + 1).map_or(0, |&hi| hi << (64 - sh))
+        } else {
+            lo
+        }
+    }
+}
+
+/// Word `g` of block `b` of a list of blocks.
+fn listed<'a>(blocks: &'a [&'a BitVec]) -> impl Fn(usize, usize) -> u64 + 'a {
+    move |b, g| blocks[b].words()[g]
+}
+
+/// XORs `v` into `words` at bit `start`; bits past the last word drop.
+fn put_bits(words: &mut [u64], start: usize, v: u64) {
+    let (wi, sh) = (start / 64, start % 64);
+    words[wi] ^= v << sh;
+    if sh != 0 {
+        if let Some(hi) = words.get_mut(wi + 1) {
+            *hi ^= v >> (64 - sh);
+        }
+    }
+}
+
+/// The compiled form of `op` on a fabric with stuck cells `stuck`: the
+/// configuration's cached stuck-free compile when no stuck cell lies
+/// under its placement (a compile would equal it), a fresh compile when
+/// one does or when `fresh` asks for it.
+fn compile(op: &PgaOperation, stuck: &[(usize, usize, bool)], fresh: bool) -> Arc<Compiled> {
+    let rows = op.placement().rows();
+    let under = stuck
+        .iter()
+        .any(|&(row, cell, _)| rows.get(row).is_some_and(|r| cell < r.len()));
+    if fresh || under {
+        Arc::new(Compiled::new(op, stuck))
+    } else {
+        op.compiled()
+    }
 }
 
 /// Collects `blocks` up to the first one whose width is not `width`,
@@ -154,7 +205,8 @@ fn valid_prefix<'a>(
     blocks: impl IntoIterator<Item = &'a BitVec>,
     width: usize,
 ) -> (Vec<&'a BitVec>, Option<SimError>) {
-    let mut ok = Vec::new();
+    let blocks = blocks.into_iter();
+    let mut ok = Vec::with_capacity(blocks.size_hint().0);
     for b in blocks {
         if b.len() != width {
             let e = SimError::InputWidthMismatch {
@@ -168,50 +220,15 @@ fn valid_prefix<'a>(
     (ok, None)
 }
 
-/// Feeds `n` blocks through a feed-forward tape 64 at a time: `row(b, g)`
-/// returns word `g` of block `b`'s input, and `sink(b, p)` receives block
-/// `b`'s first `width` outputs as words, in block order.
-fn feed_forward(
-    tape: &Tape,
-    lanes: &mut Lanes,
-    n: usize,
-    width: usize,
-    row: impl Fn(usize, usize) -> u64,
-    mut sink: impl FnMut(usize, &[u64]),
-) {
-    let ww = width.div_ceil(64);
-    tape.prepare(&mut lanes.values);
-    lanes.rows.resize(CHUNK * ww, 0);
-    for c0 in (0..n).step_by(CHUNK) {
-        let cn = (n - c0).min(CHUNK);
-        gather(&mut lanes.values[..tape.n_inputs()], cn, |j, g| {
-            row(c0 + j, g)
-        });
-        tape.run(&mut lanes.values);
-        let (values, rows) = (&lanes.values, &mut lanes.rows);
-        scatter(
-            width,
-            cn,
-            |i| tape.output(values, i),
-            |j, g, w| {
-                rows[j * ww + g] = w;
-            },
-        );
-        for j in 0..cn {
-            sink(c0 + j, &lanes.rows[j * ww..(j + 1) * ww]);
-        }
-    }
-}
-
 /// Evaluates the gates of `net` row by row following `placement`, from a
 /// zeroed value buffer, one input vector at a time — the evaluator the
-/// simulator ran before it compiled tapes, kept as the oracle they are
-/// tested against. Row order is *not* immaterial: the placement is
-/// topological only while the configuration is pristine, and a wire flip
-/// that reads a gate placed in a later row reads it as 0 here, as on the
-/// fabric. Physical stuck-at cell faults (`stuck`: gate index → forced
-/// value, resolved from physical coordinates by [`stuck_gates`]) land on
-/// the right gate.
+/// simulator ran before it compiled contexts, kept as the oracle the
+/// compiled tables are tested against. Row order is *not* immaterial:
+/// the placement is topological only while the configuration is
+/// pristine, and a wire flip that reads a gate placed in a later row
+/// reads it as 0 here, as on the fabric. Physical stuck-at cell faults
+/// (`stuck`: gate index → forced value, resolved from physical
+/// coordinates by [`stuck_gates`]) land on the right gate.
 #[cfg(test)]
 fn eval_by_rows(
     net: &XorNetwork,
@@ -281,7 +298,7 @@ impl PicogaSim {
             stuck: Vec::new(),
             pending_load_faults: Vec::new(),
             loads_seen: 0,
-            lanes: Lanes::default(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -345,6 +362,12 @@ impl PicogaSim {
     /// Loads an operation into a context slot, charging the off-fabric
     /// load cost.
     ///
+    /// The host reuses the configuration's compiled tables when the
+    /// incoming operation shares the configuration they were compiled
+    /// from, no armed corruption strikes this load, and no stuck cell
+    /// lies under the placement; otherwise it compiles afresh. The
+    /// simulated load is the same either way.
+    ///
     /// # Errors
     ///
     /// [`SimError::BadSlot`] if the slot does not exist.
@@ -360,9 +383,11 @@ impl PicogaSim {
         // Deliver any corruption armed against this load. A corruption
         // whose coordinates miss the incoming operation lands in unused
         // configuration padding: physically real, semantically harmless.
+        let mut delivered = false;
         let mut i = 0;
         while i < self.pending_load_faults.len() {
             if self.pending_load_faults[i].load_index == idx {
+                delivered = true;
                 match self.pending_load_faults.remove(i).fault {
                     LoadFault::WireFlip {
                         gate,
@@ -379,8 +404,8 @@ impl PicogaSim {
                 i += 1;
             }
         }
-        let tape = Tape::compile(op.network(), op.placement(), &self.stuck);
-        self.contexts[slot] = Some(Context { op, tape });
+        let code = compile(&op, &self.stuck, delivered);
+        self.contexts[slot] = Some(Context { op, code });
         self.obs.registry.add(
             self.obs.cycles.context_load,
             self.params.context_load_cycles,
@@ -441,7 +466,7 @@ impl PicogaSim {
     }
 
     /// Applies an SEU to the configuration resident in `slot` and
-    /// recompiles its tape.
+    /// recompiles it.
     fn corrupt_context(
         &mut self,
         slot: usize,
@@ -457,15 +482,25 @@ impl PicogaSim {
             .as_mut()
             .ok_or(InjectError::EmptySlot { slot })?;
         corrupt(&mut ctx.op)?;
-        ctx.tape = Tape::compile(ctx.op.network(), ctx.op.placement(), &self.stuck);
+        ctx.code = compile(&ctx.op, &self.stuck, false);
         Ok(())
     }
 
-    /// Recompiles every resident tape after the stuck-cell set changed.
+    /// Recompiles every resident context after the stuck-cell set
+    /// changed.
     fn recompile_all(&mut self) {
         for ctx in self.contexts.iter_mut().flatten() {
-            ctx.tape = Tape::compile(ctx.op.network(), ctx.op.placement(), &self.stuck);
+            ctx.code = compile(&ctx.op, &self.stuck, false);
         }
+    }
+
+    /// Whether the compiled form the host runs for context `slot` equals
+    /// a fresh compile of its resident configuration under the present
+    /// stuck cells (`None` for an empty or missing slot) — the property
+    /// the compile cache must keep.
+    pub fn compile_is_exact(&self, slot: usize) -> Option<bool> {
+        let ctx = self.contexts.get(slot)?.as_ref()?;
+        Some(*ctx.code == Compiled::new(&ctx.op, &self.stuck))
     }
 
     /// Arms a corruption against a future context load (see
@@ -538,13 +573,13 @@ impl PicogaSim {
         Ok(())
     }
 
-    /// The active context and the reusable lanes, borrowed together.
-    fn active_parts(&mut self) -> Result<(&Context, &mut Lanes), SimError> {
+    /// The active context and the reusable buffers, borrowed together.
+    fn active_parts(&mut self) -> Result<(&Context, &mut Scratch), SimError> {
         let slot = self.active.ok_or(SimError::NoActiveContext)?;
         let ctx = self.contexts[slot]
             .as_ref()
             .ok_or(SimError::EmptySlot { slot })?;
-        Ok((ctx, &mut self.lanes))
+        Ok((ctx, &mut self.scratch))
     }
 
     /// Charges a stream of `n` blocks at II = 1: one fill plus one cycle
@@ -567,27 +602,21 @@ impl PicogaSim {
     ///
     /// Shape/width mismatches per [`SimError`].
     pub fn run_linear(&mut self, inputs: &BitVec) -> Result<BitVec, SimError> {
-        let (ctx, lanes) = self.active_parts()?;
+        let (ctx, _) = self.active_parts()?;
         if !ctx.op.is_linear() {
             return Err(SimError::WrongOpShape { expected: "linear" });
         }
-        let n_in = ctx.tape.n_inputs();
+        let n_in = ctx.op.network().n_inputs();
         if inputs.len() != n_in {
             return Err(SimError::InputWidthMismatch {
                 got: inputs.len(),
                 expected: n_in,
             });
         }
-        let width = ctx.tape.n_outputs();
-        let mut out = vec![0u64; width.div_ceil(64)];
-        feed_forward(
-            &ctx.tape,
-            lanes,
-            1,
-            width,
-            |_, g| inputs.words()[g],
-            |_, p| out.copy_from_slice(p),
-        );
+        let table = &ctx.code.data;
+        let mut out = vec![0u64; table.out_words()];
+        table.apply(inputs.words(), &mut out);
+        let width = table.n_outputs();
         let stats = ctx.op.stats();
         let latency = stats.latency.max(1);
         self.obs.registry.add(self.obs.cycles.compute, latency);
@@ -608,9 +637,10 @@ impl PicogaSim {
     /// flips — moves the matrix itself and is the scrub's job; this
     /// probe catches what the scrub structurally cannot.)
     ///
-    /// The `n + 1` vectors run 64 to a tape pass, and the configured
-    /// matrix's columns come from the configuration's own gate-order
-    /// evaluation of the same lanes.
+    /// The `n + 1` vectors run 64 to a pass through the context's
+    /// row-ordered tape — the datapath itself, never the tables compiled
+    /// from it — and the configured matrix's columns come from the
+    /// configuration's own gate-order evaluation of the same lanes.
     ///
     /// Charges one latency per evaluation: self-checking is not free.
     ///
@@ -620,33 +650,18 @@ impl PicogaSim {
     ///
     /// [`SimError::NoActiveContext`] / [`SimError::EmptySlot`].
     pub fn affine_probe(&mut self) -> Result<bool, SimError> {
-        let (ctx, lanes) = self.active_parts()?;
-        let (net, tape) = (ctx.op.network(), &ctx.tape);
+        let (ctx, scratch) = self.active_parts()?;
+        let (net, tape) = (ctx.op.network(), &ctx.code.tape);
         let stats = ctx.op.stats();
         let n = net.n_inputs();
-        // Lane j of the pass starting at `lo` drives vector lo + j:
-        // vector 0 is the zero vector, vector i + 1 the basis vector e_i.
-        let mut inputs = vec![0u64; n];
         let mut expected = Vec::new();
-        tape.prepare(&mut lanes.values);
         let mut ok = true;
-        for lo in (0..=n).step_by(CHUNK) {
-            for (i, w) in inputs.iter_mut().enumerate() {
-                *w = if (lo..lo + CHUNK).contains(&(i + 1)) {
-                    1 << (i + 1 - lo)
-                } else {
-                    0
-                };
-            }
-            net.evaluate_lanes(&inputs, &mut expected);
-            lanes.values[..n].copy_from_slice(&inputs);
-            tape.run(&mut lanes.values);
+        tape.sweep(&mut scratch.values, |_, inputs, values| {
+            net.evaluate_lanes(inputs, &mut expected);
             ok = (0..net.outputs().len())
-                .all(|o| tape.output(&lanes.values, o) == net.output_lanes(&expected, o));
-            if !ok {
-                break;
-            }
-        }
+                .all(|o| tape.output(values, o) == net.output_lanes(&expected, o));
+            ok
+        });
         let latency = stats.latency.max(1);
         self.obs
             .registry
@@ -676,7 +691,7 @@ impl PicogaSim {
         if let Some(e) = err {
             return Err(e);
         }
-        self.crc_stream(x_t, blocks.len(), |b, g| blocks[b].words()[g])
+        self.crc_stream(x_t, blocks.len(), listed(&blocks))
     }
 
     /// [`PicogaSim::run_crc_stream`] over the first `n` M-bit blocks of
@@ -696,7 +711,7 @@ impl PicogaSim {
     ) -> Result<BitVec, SimError> {
         let m = self.crc_update_width()?;
         check_packed(bits, n, m)?;
-        self.crc_stream(x_t, n, |b, g| bits.word_at(b * m + 64 * g))
+        self.crc_stream(x_t, n, packed(bits, m))
     }
 
     /// The block width M of the active CRC update operation.
@@ -710,23 +725,36 @@ impl PicogaSim {
         Ok(op.network().n_inputs())
     }
 
-    /// The feed-forward wavefront of every block 64 at a time, then the
-    /// single feedback row block by block.
+    /// Each block's feed-forward `p` from the tables, then the feedback
+    /// row (one word when k ≤ 64).
     fn crc_stream(
         &mut self,
         x_t: &BitVec,
         n: usize,
-        row: impl Fn(usize, usize) -> u64,
+        word: impl Fn(usize, usize) -> u64,
     ) -> Result<BitVec, SimError> {
         if n == 0 {
             return Ok(x_t.clone());
         }
-        let (ctx, lanes) = self.active_parts()?;
+        let (ctx, scratch) = self.active_parts()?;
         let fb = ctx.op.feedback().expect("crc update has feedback");
+        let table = &ctx.code.data;
         let mut state = state_words(x_t, fb.k);
-        feed_forward(&ctx.tape, lanes, n, fb.k, row, |_, p| {
-            fb.step_words(&mut state, p);
-        });
+        if let [x] = state.as_mut_slice() {
+            let step = fb.word_step();
+            let mut s = *x;
+            for b in 0..n {
+                s = step(s, table.apply_word(|g| word(b, g)));
+            }
+            *x = s;
+        } else {
+            let p = &mut scratch.out;
+            p.resize(table.out_words(), 0);
+            for b in 0..n {
+                table.apply_with(|g| word(b, g), p);
+                fb.step_words(&mut state, p);
+            }
+        }
         let (k, stats) = (fb.k, ctx.op.stats());
         self.charge_stream(stats, n as u64);
         Ok(BitVec::from_words(state, k))
@@ -751,7 +779,7 @@ impl PicogaSim {
         // Blocks before a malformed one have run (and been charged)
         // when the error surfaces, as on the fabric.
         let (blocks, err) = valid_prefix(blocks, m);
-        let st = self.crc_dense(state, blocks.len(), |b, g| blocks[b].words()[g]);
+        let st = self.crc_dense(state, blocks.len(), listed(&blocks));
         if let Some(e) = err {
             return Err(e);
         }
@@ -775,7 +803,7 @@ impl PicogaSim {
     ) -> Result<BitVec, SimError> {
         let m = self.dense_block_width()?;
         check_packed(bits, n, m)?;
-        let st = self.crc_dense(state, n, |b, g| bits.word_at(b * m + 64 * g));
+        let st = self.crc_dense(state, n, packed(bits, m));
         self.record_dense(n);
         Ok(st)
     }
@@ -799,24 +827,39 @@ impl PicogaSim {
             .ok_or(SimError::EmptySlot { slot })
     }
 
-    /// The dense loop, one block per tape pass (the next block's input
-    /// is this block's output), charging the full latency per block.
-    fn crc_dense(&mut self, state: &BitVec, n: usize, row: impl Fn(usize, usize) -> u64) -> BitVec {
-        let (ctx, lanes) = self.active_parts().expect("shape checked");
-        let k = ctx.op.dense_update_k().expect("shape checked");
-        let tape = &ctx.tape;
+    /// The dense loop over the tables on `[x | u]`, block by block (the
+    /// next block's state is this block's output), charging the full
+    /// latency per block.
+    fn crc_dense(
+        &mut self,
+        state: &BitVec,
+        n: usize,
+        word: impl Fn(usize, usize) -> u64,
+    ) -> BitVec {
+        let (ctx, scratch) = self.active_parts().expect("shape checked");
+        let code = &ctx.code;
         let mut st = state.clone();
-        tape.prepare(&mut lanes.values);
-        for b in 0..n {
-            let (head, tail) = lanes.values[..tape.n_inputs()].split_at_mut(k);
-            gather(head, 1, |_, g| st.word_at(64 * g));
-            gather(tail, 1, |_, g| row(b, g));
-            tape.run(&mut lanes.values);
-            let width = tape.n_outputs();
-            let mut words = vec![0u64; width.div_ceil(64)];
-            let values = &lanes.values;
-            scatter(width, 1, |i| tape.output(values, i), |_, g, w| words[g] = w);
-            st = BitVec::from_words(words, width);
+        if n > 0 {
+            let (w, width) = (code.out_words(), code.data.n_outputs());
+            let mut x = state.words().to_vec();
+            x.resize(code.state.n_inputs().div_ceil(64).max(w), 0);
+            if let [s] = x.as_mut_slice() {
+                for b in 0..n {
+                    let y = code.data.apply_word(|g| word(b, g));
+                    *s = y ^ code.state.apply_word(|_| *s);
+                }
+            } else {
+                let out = &mut scratch.out;
+                out.resize(w, 0);
+                for b in 0..n {
+                    code.data.apply_with(|g| word(b, g), out);
+                    code.state.xor_product(&x, out);
+                    x[..w].copy_from_slice(out);
+                    x[w..].fill(0);
+                }
+            }
+            x.truncate(w);
+            st = BitVec::from_words(x, width);
         }
         let latency = ctx.op.stats().latency.max(1);
         self.obs
@@ -872,21 +915,17 @@ impl PicogaSim {
         }
         // Items before a malformed one have updated their lanes when the
         // error surfaces.
-        let (ctx, lanes) = self.active_parts()?;
+        let (ctx, scratch) = self.active_parts()?;
         let fb = ctx.op.feedback().expect("crc update has feedback");
+        let table = &ctx.code.data;
         let mut words: Vec<Option<Vec<u64>>> = vec![None; states.len()];
-        feed_forward(
-            &ctx.tape,
-            lanes,
-            valid.len(),
-            fb.k,
-            |b, g| valid[b].1.words()[g],
-            |b, p| {
-                let lane = valid[b].0;
-                let st = words[lane].get_or_insert_with(|| state_words(&states[lane], fb.k));
-                fb.step_words(st, p);
-            },
-        );
+        let p = &mut scratch.out;
+        p.resize(table.out_words(), 0);
+        for &(lane, block) in &valid {
+            table.apply(block.words(), p);
+            let st = words[lane].get_or_insert_with(|| state_words(&states[lane], fb.k));
+            fb.step_words(st, p);
+        }
         let (k, stats) = (fb.k, ctx.op.stats());
         for (state, w) in states.iter_mut().zip(words) {
             if let Some(w) = w {
@@ -920,7 +959,7 @@ impl PicogaSim {
         if let Some(e) = err {
             return Err(e);
         }
-        Ok(self.scrambler_stream(x_t, blocks.len(), |b, g| blocks[b].words()[g]))
+        Ok(self.scrambler_stream(x_t, blocks.len(), listed(&blocks)))
     }
 
     /// [`PicogaSim::run_scrambler_stream`] over the first `n` M-bit
@@ -939,7 +978,7 @@ impl PicogaSim {
     ) -> Result<(BitVec, BitVec), SimError> {
         let m = self.scrambler_width()?;
         check_packed(bits, n, m)?;
-        Ok(self.scrambler_stream(x_t, n, |b, g| bits.word_at(b * m + 64 * g)))
+        Ok(self.scrambler_stream(x_t, n, packed(bits, m)))
     }
 
     /// The block width M of the active scrambler operation.
@@ -951,53 +990,52 @@ impl PicogaSim {
             })
     }
 
-    /// Steps the autonomous state sequence of a chunk first (no data
-    /// enters the loop), then evaluates the chunk's output network over
-    /// `[x_t | u]` 64 blocks at a time, writing each block's output
-    /// straight into the result.
+    /// Block by block: the output over the tables on `[x_t | u]`, written
+    /// straight into the result, then one autonomous step of the state
+    /// (no data enters the loop).
     fn scrambler_stream(
         &mut self,
         x_t: &BitVec,
         n: usize,
-        row: impl Fn(usize, usize) -> u64,
+        word: impl Fn(usize, usize) -> u64,
     ) -> (BitVec, BitVec) {
         if n == 0 {
             return (BitVec::zeros(0), x_t.clone());
         }
-        let (ctx, lanes) = self.active_parts().expect("shape checked");
+        let (ctx, scratch) = self.active_parts().expect("shape checked");
         let fb = ctx.op.feedback().expect("scrambler has feedback");
-        let tape = &ctx.tape;
-        let (k, width) = (fb.k, tape.n_outputs());
-        let kw = k.div_ceil(64);
+        let code = &ctx.code;
+        let (k, width) = (fb.k, code.data.n_outputs());
         let mut state = state_words(x_t, k);
-        let zero = vec![0u64; kw];
-        let mut out = BitVec::zeros(n * width);
-        tape.prepare(&mut lanes.values);
-        lanes.rows.resize(CHUNK * kw, 0);
-        for c0 in (0..n).step_by(CHUNK) {
-            let cn = (n - c0).min(CHUNK);
-            for j in 0..cn {
-                lanes.rows[j * kw..(j + 1) * kw].copy_from_slice(&state);
+        let mut out = vec![0u64; (n * width).div_ceil(64)];
+        if let ([x], 1) = (state.as_mut_slice(), code.out_words()) {
+            let step = fb.word_step();
+            let mut s = *x;
+            for b in 0..n {
+                let y = code.data.apply_word(|g| word(b, g)) ^ code.state.apply_word(|_| s);
+                put_bits(&mut out, b * width, y);
+                s = step(s, 0);
+            }
+            *x = s;
+        } else {
+            let zero = vec![0u64; state.len()];
+            let y = &mut scratch.out;
+            y.resize(code.out_words(), 0);
+            for b in 0..n {
+                code.data.apply_with(|g| word(b, g), y);
+                code.state.xor_product(&state, y);
+                for (g, &v) in y.iter().enumerate() {
+                    put_bits(&mut out, b * width + 64 * g, v);
+                }
                 fb.step_words(&mut state, &zero);
             }
-            let (head, tail) = lanes.values[..tape.n_inputs()].split_at_mut(k);
-            let states = &lanes.rows;
-            gather(head, cn, |j, g| states[j * kw + g]);
-            gather(tail, cn, |j, g| row(c0 + j, g));
-            tape.run(&mut lanes.values);
-            let values = &lanes.values;
-            scatter(
-                width,
-                cn,
-                |i| tape.output(values, i),
-                |j, g, w| {
-                    out.xor_word_at((c0 + j) * width + 64 * g, w);
-                },
-            );
         }
         let stats = ctx.op.stats();
         self.charge_stream(stats, n as u64);
-        (out, BitVec::from_words(state, k))
+        (
+            BitVec::from_words(out, n * width),
+            BitVec::from_words(state, k),
+        )
     }
 }
 
@@ -1555,7 +1593,24 @@ mod tests {
                 "{}",
                 op.name()
             );
+            assert_eq!(sim.compile_is_exact(0), Some(true));
             let n_in = op.network().n_inputs();
+            // The tables themselves, on random `[x | u]`.
+            let code = Arc::clone(&sim.contexts[0].as_ref().unwrap().code);
+            let k = code.state.n_inputs();
+            for _ in 0..8 {
+                let x = rng.bits(n_in);
+                let mut y = vec![0u64; code.out_words()];
+                code.data.apply(x.slice(k, n_in - k).words(), &mut y);
+                code.state.xor_product(x.words(), &mut y);
+                let width = code.data.n_outputs();
+                assert_eq!(
+                    BitVec::from_words(y, width),
+                    oracle(sim, &x).resized(width),
+                    "{} tables",
+                    op.name()
+                );
+            }
             let n = [0, 1, 63, 64, 65, 130][rng.below(6)];
             let blocks: Vec<BitVec> = (0..n).map(|_| rng.bits(m)).collect();
             let bits = packed(&blocks);
@@ -1606,7 +1661,7 @@ mod tests {
         }
 
         #[test]
-        fn tapes_match_the_row_evaluator_under_faults() {
+        fn tables_match_the_row_evaluator_under_faults() {
             let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
             let mut forward = 0;
             for m in [8, 32, 128] {
@@ -1650,6 +1705,165 @@ mod tests {
                 latency + 99,
                 "refused runs are free"
             );
+        }
+
+        /// The compiled form resident in slot 0.
+        fn code(sim: &PicogaSim) -> Arc<Compiled> {
+            Arc::clone(&sim.contexts[0].as_ref().unwrap().code)
+        }
+
+        /// Every load charges and records a load, whatever the host
+        /// reuses.
+        fn assert_loads_charged(sim: &PicogaSim) {
+            let loads = sim.loads_seen();
+            assert_eq!(
+                sim.counters().context_load,
+                loads * sim.params().context_load_cycles
+            );
+            let events = sim
+                .obs()
+                .tracer
+                .events()
+                .filter(|e| matches!(e.kind, EventKind::ContextLoad { .. }))
+                .count();
+            assert_eq!(events as u64, loads);
+        }
+
+        #[test]
+        fn reload_of_a_pristine_op_reuses_its_compile() {
+            let mut rng = Rng(5);
+            let ops = ops(&mut rng, 32);
+            let (op, other) = (ops[1].clone(), ops[0].clone());
+            let mut sim = PicogaSim::new(roomy());
+            sim.load_context(0, op.clone()).unwrap();
+            let first = code(&sim);
+            assert!(op.shares_compile(&first), "a load compiles once");
+            assert_eq!(sim.compile_is_exact(0), Some(true));
+            // Corrupt the resident copy: it gets its own compile, and the
+            // registered op keeps the pristine one.
+            let (gate, new_signal, _) = semantic_wire_flip(&op);
+            sim.inject(&ConfigFault::WireFlip {
+                slot: 0,
+                gate,
+                pin: 0,
+                new_signal,
+            })
+            .unwrap();
+            assert!(!op.shares_compile(&code(&sim)));
+            assert!(op.shares_compile(&first));
+            assert_ne!(*code(&sim), *first);
+            assert_eq!(sim.compile_is_exact(0), Some(true));
+            // Evict by loading another op, then reload the pristine one.
+            sim.load_context(0, other).unwrap();
+            assert_eq!(sim.compile_is_exact(0), Some(true));
+            sim.load_context(0, op.clone()).unwrap();
+            assert!(Arc::ptr_eq(&code(&sim), &first), "reload compiles nothing");
+            assert_eq!(sim.compile_is_exact(0), Some(true));
+            assert_eq!(sim.loads_seen(), 3);
+            assert_loads_charged(&sim);
+        }
+
+        #[test]
+        fn an_armed_load_corruption_compiles_fresh() {
+            let mut rng = Rng(6);
+            let op = ops(&mut rng, 8).swap_remove(1);
+            let (gate, new_signal, _) = semantic_wire_flip(&op);
+            let mut sim = PicogaSim::new(roomy());
+            sim.arm_load_corruption(LoadCorruption {
+                load_index: 1,
+                fault: LoadFault::WireFlip {
+                    gate,
+                    pin: 0,
+                    new_signal,
+                },
+            });
+            // A corruption that misses the op still bypasses the cache.
+            sim.arm_load_corruption(LoadCorruption {
+                load_index: 2,
+                fault: LoadFault::TapFlip {
+                    output: 999,
+                    new_tap: None,
+                },
+            });
+            sim.load_context(0, op.clone()).unwrap();
+            let pristine = code(&sim);
+            assert!(op.shares_compile(&pristine));
+            sim.load_context(0, op.clone()).unwrap();
+            assert!(!Arc::ptr_eq(&code(&sim), &pristine));
+            assert_ne!(*code(&sim), *pristine, "the hit load computes another map");
+            assert_eq!(sim.compile_is_exact(0), Some(true));
+            sim.load_context(0, op.clone()).unwrap();
+            assert!(!Arc::ptr_eq(&code(&sim), &pristine));
+            assert_eq!(
+                *code(&sim),
+                *pristine,
+                "a missed corruption changes nothing"
+            );
+            sim.load_context(0, op.clone()).unwrap();
+            assert!(Arc::ptr_eq(&code(&sim), &pristine), "load 3 is clean");
+            assert_loads_charged(&sim);
+        }
+
+        #[test]
+        fn stuck_cells_under_the_placement_compile_fresh() {
+            let mut rng = Rng(7);
+            let op = ops(&mut rng, 128).swap_remove(2);
+            let pl = op.placement().clone();
+            let mut sim = PicogaSim::new(roomy());
+            sim.load_context(0, op.clone()).unwrap();
+            let pristine = code(&sim);
+            // A cell past the placement's rows, and one past a row's end.
+            let short = (0..pl.row_count())
+                .find(|&r| pl.rows()[r].len() < roomy().cells_per_row)
+                .expect("a row with a free cell");
+            for (row, cell) in [(pl.row_count(), 0), (short, pl.rows()[short].len())] {
+                sim.inject(&ConfigFault::StuckCell {
+                    row,
+                    cell,
+                    value: true,
+                })
+                .unwrap();
+                assert!(Arc::ptr_eq(&code(&sim), &pristine), "({row},{cell})");
+                assert_eq!(sim.compile_is_exact(0), Some(true));
+                sim.load_context(0, op.clone()).unwrap();
+                assert!(Arc::ptr_eq(&code(&sim), &pristine));
+                sim.clear_stuck_cells();
+                assert!(Arc::ptr_eq(&code(&sim), &pristine));
+            }
+            // A cell under the placement.
+            sim.inject(&ConfigFault::StuckCell {
+                row: 0,
+                cell: 0,
+                value: true,
+            })
+            .unwrap();
+            assert!(!Arc::ptr_eq(&code(&sim), &pristine));
+            assert_ne!(*code(&sim), *pristine);
+            assert_eq!(sim.compile_is_exact(0), Some(true));
+            sim.load_context(0, op.clone()).unwrap();
+            assert!(
+                !Arc::ptr_eq(&code(&sim), &pristine),
+                "reload cannot fix silicon"
+            );
+            assert_eq!(sim.compile_is_exact(0), Some(true));
+            sim.clear_stuck_cells();
+            assert!(Arc::ptr_eq(&code(&sim), &pristine));
+            assert_eq!(sim.compile_is_exact(0), Some(true));
+            assert_loads_charged(&sim);
+        }
+
+        #[test]
+        fn compiles_die_with_their_operation() {
+            let mut rng = Rng(8);
+            let mut ops = ops(&mut rng, 32);
+            let (op, other) = (ops.swap_remove(3), ops.swap_remove(0));
+            let mut sim = PicogaSim::new(roomy());
+            sim.load_context(0, op.clone()).unwrap();
+            let weak = Arc::downgrade(&code(&sim));
+            drop(op);
+            assert!(weak.upgrade().is_some(), "the resident copy holds it");
+            sim.load_context(0, other).unwrap();
+            assert!(weak.upgrade().is_none(), "nothing is left behind");
         }
     }
 

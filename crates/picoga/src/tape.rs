@@ -1,11 +1,14 @@
-//! How the host executes a placed operation: a compiled, bitsliced tape.
+//! The compiled form of a placed operation's gates: a row-ordered tape.
 //!
-//! When a context is loaded, its network is flattened into a [`Tape`]:
+//! When a context is compiled, its network is flattened into a [`Tape`]:
 //! the gates in placement-row order, each with its fan-in signal indices,
 //! and with the physical stuck-at cells under the placement resolved to
 //! forced words. The tape evaluates 64 independent input vectors per
-//! `u64` — bit `j` of every word belongs to vector `j` — so 64 blocks of
-//! a stream go through the network in one pass.
+//! `u64` — bit `j` of every word belongs to vector `j`. It is swept with
+//! the zero vector and every basis vector twice: once at compile, where
+//! the responses become the context's byte tables (`compiled.rs`), and
+//! again at probe time, where `PicogaSim::affine_probe` judges the
+//! datapath.
 //!
 //! Row order is part of the semantics, not an optimisation. A pristine
 //! placement is topological, but a wire flip may make a gate read a gate
@@ -21,7 +24,7 @@ use xornet::XorNetwork;
 
 /// One gate of the tape: `values[dst] = force ^ XOR of values[fanin[lo..hi]]`.
 /// A stuck cell has an empty fan-in range and `force` all zeros or ones.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Step {
     dst: u32,
     lo: u32,
@@ -30,7 +33,7 @@ struct Step {
 }
 
 /// A context's network compiled for 64-lane evaluation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Tape {
     n_inputs: usize,
     n_signals: usize,
@@ -106,10 +109,6 @@ impl Tape {
         self.n_inputs
     }
 
-    pub(crate) fn n_outputs(&self) -> usize {
-        self.outputs.len()
-    }
-
     /// Sizes `values` for this tape (one word per signal).
     pub(crate) fn prepare(&self, values: &mut Vec<u64>) {
         values.resize(self.n_signals, 0);
@@ -132,6 +131,33 @@ impl Tape {
             .flatten()
             .map_or(0, |s| values[s as usize])
     }
+
+    /// Runs the zero vector and every basis vector through the tape, 64
+    /// to a pass: lane `j` of the pass starting at `lo` carries vector
+    /// `lo + j`, where vector 0 is the zero vector and vector `i + 1` is
+    /// `e_i`. `visit(lo, inputs, values)` sees each pass's input lanes
+    /// and signal words; the sweep stops early when it returns `false`.
+    pub(crate) fn sweep(
+        &self,
+        values: &mut Vec<u64>,
+        mut visit: impl FnMut(usize, &[u64], &[u64]) -> bool,
+    ) {
+        let n = self.n_inputs;
+        self.prepare(values);
+        for lo in (0..=n).step_by(64) {
+            for (i, w) in values[..n].iter_mut().enumerate() {
+                *w = if (lo..lo + 64).contains(&(i + 1)) {
+                    1 << (i + 1 - lo)
+                } else {
+                    0
+                };
+            }
+            self.run(values);
+            if !visit(lo, &values[..n], &values[..]) {
+                break;
+            }
+        }
+    }
 }
 
 /// Transposes a 64×64 bit matrix in place: bit `c` of word `r` trades
@@ -152,29 +178,9 @@ pub(crate) fn transpose64(a: &mut [u64; 64]) {
     }
 }
 
-/// Loads the lanes of `n ≤ 64` vectors: afterwards bit `j` of `lanes[i]`
-/// is bit `i` of vector `j`, where `row(j, g)` returns bits
-/// `[64g, 64g + 64)` of vector `j` (bits past `lanes.len()` are ignored).
-pub(crate) fn gather(lanes: &mut [u64], n: usize, row: impl Fn(usize, usize) -> u64) {
-    debug_assert!(n <= 64);
-    if n == 1 {
-        for (i, l) in lanes.iter_mut().enumerate() {
-            *l = (row(0, i / 64) >> (i % 64)) & 1;
-        }
-        return;
-    }
-    let mut buf = [0u64; 64];
-    for (g, chunk) in lanes.chunks_mut(64).enumerate() {
-        for (j, b) in buf.iter_mut().enumerate() {
-            *b = if j < n { row(j, g) } else { 0 };
-        }
-        transpose64(&mut buf);
-        chunk.copy_from_slice(&buf[..chunk.len()]);
-    }
-}
-
-/// The inverse of [`gather`] for `width` lanes read through `lane(i)`:
-/// `put(j, g, w)` receives bits `[64g, 64g + 64)` of vector `j < n`.
+/// Unpacks `width` lanes read through `lane(i)` into vectors: `put(j, g,
+/// w)` receives bits `[64g, 64g + 64)` of vector `j < n`, whose bit `i`
+/// is bit `j` of lane `i`.
 pub(crate) fn scatter(
     width: usize,
     n: usize,
@@ -224,29 +230,19 @@ mod tests {
     }
 
     #[test]
-    fn gather_then_scatter_round_trips() {
+    fn scatter_unpacks_lanes_into_vectors() {
         let mut next = rng(11);
         for (width, n) in [(8usize, 64usize), (130, 17), (64, 1), (200, 64), (3, 5)] {
-            let rows: Vec<Vec<u64>> = (0..n)
-                .map(|_| (0..width.div_ceil(64)).map(|_| next()).collect())
-                .collect();
-            let mut lanes = vec![0u64; width];
-            gather(&mut lanes, n, |j, g| rows[j][g]);
-            for (i, l) in lanes.iter().enumerate() {
-                for (j, r) in rows.iter().enumerate() {
-                    assert_eq!((l >> j) & 1, (r[i / 64] >> (i % 64)) & 1);
-                }
-                if n < 64 {
-                    assert_eq!(l >> n, 0, "unused lanes are 0");
-                }
-            }
+            let lanes: Vec<u64> = (0..width).map(|_| next()).collect();
             let mut back = vec![vec![0u64; width.div_ceil(64)]; n];
             scatter(width, n, |i| lanes[i], |j, g, w| back[j][g] = w);
-            for (b, r) in back.iter().zip(&rows) {
-                for g in 0..b.len() {
-                    let bits = (width - 64 * g).min(64);
-                    let mask = if bits == 64 { !0 } else { (1u64 << bits) - 1 };
-                    assert_eq!(b[g], r[g] & mask);
+            for (j, b) in back.iter().enumerate() {
+                for (i, l) in lanes.iter().enumerate() {
+                    assert_eq!((b[i / 64] >> (i % 64)) & 1, (l >> j) & 1, "({j},{i})");
+                }
+                let tail = width % 64;
+                if tail != 0 {
+                    assert_eq!(b[width / 64] >> tail, 0, "no bits past width");
                 }
             }
         }

@@ -11,7 +11,7 @@
 //!    with perturbed synthesis options, yielding a different network and
 //!    placement that can route around a stuck cell.
 //! 3. **Software fallback** — retire the personality to the control
-//!    processor's Sarwate kernel. Always correct, never fast.
+//!    processor's software kernel. Always correct, never fast.
 //!
 //! The optional **DMR mode** hosts a second, independently synthesized
 //! placement of every personality and compares the two lanes on every
@@ -157,7 +157,7 @@ pub enum MigrationAdvice {
     StayFabric,
     /// The personality retired to the software kernel: marshal each
     /// session's state out of the transformed space (T · x_t) and
-    /// continue on the Sarwate path.
+    /// continue on the software path.
     MarshalToSoftware,
     /// Nothing can serve this personality right now: checkpoint each
     /// session and park it for later restoration.

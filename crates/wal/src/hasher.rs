@@ -5,14 +5,14 @@
 //! lane guarded by the resilience policy: when the lane is healthy the
 //! checksum comes off the pipelined gate array, and when the lane has
 //! degraded (an injected SEU, a forced fallback) the guarded run
-//! transparently takes the Sarwate software path — so simply *framing
-//! journal records* exercises the reload → re-synthesis → fallback
-//! recovery ladder. The [`SoftwareHasher`] is the always-correct
-//! control: a plain Sarwate kernel with no fabric underneath.
+//! transparently takes the software path — so simply *framing journal
+//! records* exercises the reload → re-synthesis → fallback recovery
+//! ladder. The [`SoftwareHasher`] is the always-correct control: a plain
+//! slicing-by-8 kernel with no fabric underneath.
 
 use dream::{ControlModel, Health};
 use dream_lfsr::FlowOptions;
-use lfsr::crc::{CrcSpec, SarwateCrc};
+use lfsr::crc::{CrcSpec, SlicingCrc};
 use picoga::PicogaParams;
 use resilience::{FaultInjector, RecoveryPolicy, ResilientSystem};
 
@@ -24,7 +24,7 @@ pub const WAL_LANE: &str = "wal-crc32";
 pub struct HasherStats {
     /// Frames checksummed in total.
     pub frames: u64,
-    /// Frames whose CRC came from the Sarwate software path.
+    /// Frames whose CRC came from the software path.
     pub software_frames: u64,
     /// Recovery-ladder outcomes observed while checksumming.
     pub ladder_runs: u64,
@@ -62,28 +62,26 @@ pub trait FrameHasher {
     }
 }
 
-/// A CRC-32/ETHERNET Sarwate kernel. Its 256-entry table is built once
-/// per hasher; every frame resets and reuses it.
-#[derive(Debug, Clone)]
-struct Sarwate32(SarwateCrc);
+/// A CRC-32/ETHERNET slicing-by-8 kernel. Its 16 KiB of tables are
+/// built on the first frame it checksums; every later frame resets and
+/// reuses them.
+#[derive(Debug, Clone, Default)]
+struct Slicing32(Option<SlicingCrc>);
 
-impl Default for Sarwate32 {
-    fn default() -> Self {
-        Sarwate32(SarwateCrc::new(CrcSpec::crc32_ethernet()).expect("width 32 ≥ 8"))
-    }
-}
-
-impl Sarwate32 {
+impl Slicing32 {
     fn crc32(&mut self, data: &[u8]) -> u32 {
-        u32::try_from(self.0.checksum(data) & 0xFFFF_FFFF).expect("masked to 32 bits")
+        let kernel = self.0.get_or_insert_with(|| {
+            SlicingCrc::new(CrcSpec::crc32_ethernet(), 8).expect("CRC-32/ETHERNET is reflected")
+        });
+        u32::try_from(kernel.checksum(data) & 0xFFFF_FFFF).expect("masked to 32 bits")
     }
 }
 
-/// A pure software hasher: the Sarwate kernel, no fabric.
+/// A pure software hasher: the slicing-by-8 kernel, no fabric.
 #[derive(Debug, Default)]
 pub struct SoftwareHasher {
     stats: HasherStats,
-    kernel: Sarwate32,
+    kernel: Slicing32,
 }
 
 impl SoftwareHasher {
@@ -113,7 +111,7 @@ pub struct FabricHasher {
     rs: ResilientSystem,
     stats: HasherStats,
     /// The software kernel behind frames the guarded path fails on.
-    fallback: Sarwate32,
+    fallback: Slicing32,
 }
 
 impl std::fmt::Debug for FabricHasher {
@@ -158,7 +156,7 @@ impl FabricHasher {
         Ok(FabricHasher {
             rs,
             stats: HasherStats::default(),
-            fallback: Sarwate32::default(),
+            fallback: Slicing32::default(),
         })
     }
 
@@ -187,7 +185,7 @@ impl FabricHasher {
     }
 
     /// Forces the lane onto the software path: subsequent frames are
-    /// checksummed by the Sarwate kernel until [`heal`](Self::heal).
+    /// checksummed in software until [`heal`](Self::heal).
     pub fn degrade(&mut self) {
         self.rs.system_mut().set_health(WAL_LANE, Health::Fallback);
     }
@@ -271,7 +269,7 @@ mod tests {
     #[test]
     fn reused_kernel_matches_bitwise_on_random_frames() {
         let mut soft = SoftwareHasher::new();
-        let mut kernel = Sarwate32::default();
+        let mut kernel = Slicing32::default();
         let mut x = 0x0DDB_1A5E_5BAD_5EEDu64;
         for _ in 0..64 {
             let frame: Vec<u8> = (0..(x % 300) as usize)

@@ -12,7 +12,7 @@
 //!   cold bytes and duplicate appends — all byte-reproducible;
 //! * [`FabricHasher`] — frame CRCs computed through the fabric's own
 //!   CRC-32/ETHERNET personality under the resilience policy, falling
-//!   back to the Sarwate kernel when the lane degrades, so journal
+//!   back to the software kernel when the lane degrades, so journal
 //!   framing itself dogfoods the recovery ladder the paper's CRC
 //!   application makes possible;
 //! * [`replay_bytes`] — recovery replay implementing the torn-tail
