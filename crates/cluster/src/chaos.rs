@@ -24,7 +24,7 @@ use crate::placement::mix64;
 use crate::rebalance::RebalancePolicy;
 use crate::retry::{OpApply, OpToken};
 use crate::storm::{
-    apply_resumes, audit_spans, gen_plans, inject_random_fault, oracle_matches, Client,
+    apply_resumes, audit_spans, gen_plans, inject_random_fault, loss_gaps, oracle_matches, Client,
     ClusterStormConfig, ShardSummary, SpanAudit,
 };
 use crate::upgrade::{RollingUpgrade, UpgradeStatus};
@@ -482,6 +482,9 @@ pub struct ChaosStormReport {
     /// Losses the cluster recorded that the harness never observed
     /// (must be zero).
     pub losses_unaccounted: u64,
+    /// Losses the harness observed that the cluster no longer records
+    /// (must be zero).
+    pub losses_forgotten: u64,
     /// Logical streams still unfinished at the drain budget (must be
     /// zero).
     pub unfinished: u64,
@@ -523,6 +526,7 @@ impl ChaosStormReport {
     pub fn passed(&self) -> bool {
         self.mismatches == 0
             && self.losses_unaccounted == 0
+            && self.losses_forgotten == 0
             && self.unfinished == 0
             && self.dup_violations == 0
             && self.spans.clean()
@@ -543,8 +547,13 @@ impl ChaosStormReport {
         );
         let _ = writeln!(
             s,
-            "correctness   mismatches={} silent_losses={} dup_violations={} dups_suppressed={}",
-            self.mismatches, self.losses_unaccounted, self.dup_violations, self.dups_suppressed
+            "correctness   mismatches={} silent_losses={} forgotten_losses={} dup_violations={} \
+             dups_suppressed={}",
+            self.mismatches,
+            self.losses_unaccounted,
+            self.losses_forgotten,
+            self.dup_violations,
+            self.dups_suppressed
         );
         let _ = writeln!(
             s,
@@ -957,8 +966,7 @@ pub fn run_chaos_storm(cfg: &ChaosStormConfig) -> Result<ChaosStormReport, Clust
         }
     }
 
-    let losses_total = cl.losses().len() as u64;
-    let losses_unaccounted = losses_total - seen_losses.len() as u64;
+    let (losses_unaccounted, losses_forgotten) = loss_gaps(&cl.losses(), &seen_losses);
     let shard_lines = (0..base.shards)
         .map(|i| {
             let svc = cl.shard_service(i).expect("index in range");
@@ -984,6 +992,7 @@ pub fn run_chaos_storm(cfg: &ChaosStormConfig) -> Result<ChaosStormReport, Clust
         restarts,
         mismatches,
         losses_unaccounted,
+        losses_forgotten,
         unfinished: plans.len() as u64 - completed,
         dup_violations,
         dups_suppressed,

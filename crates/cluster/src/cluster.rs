@@ -1122,12 +1122,10 @@ impl Cluster {
     }
 
     fn record(&mut self, stream: Option<u64>, shard: Option<usize>, kind: EventKind) {
-        let lane = shard.map(|i| self.shards[i].name.clone());
+        let lane = shard.map(|i| self.shards[i].name.as_str());
         match self.span_stack.last().copied() {
-            Some(sp) => self
-                .tracer
-                .record_in_span(self.now, sp, stream, lane.as_deref(), kind),
-            None => self.tracer.record(self.now, stream, lane.as_deref(), kind),
+            Some(sp) => self.tracer.record_in_span(self.now, sp, stream, lane, kind),
+            None => self.tracer.record(self.now, stream, lane, kind),
         }
     }
 
@@ -1140,9 +1138,9 @@ impl Cluster {
         shard: Option<usize>,
         kind: EventKind,
     ) {
-        let lane = shard.map(|i| self.shards[i].name.clone());
+        let lane = shard.map(|i| self.shards[i].name.as_str());
         self.tracer
-            .record_in_span(self.now, span, stream, lane.as_deref(), kind);
+            .record_in_span(self.now, span, stream, lane, kind);
     }
 
     /// Opens a causal span and pushes it on the call-scoped stack, so
@@ -1861,11 +1859,7 @@ impl Cluster {
                     span,
                     None,
                     Some(shard),
-                    EventKind::ShardState {
-                        shard: shard as u64,
-                        from: "active",
-                        to: "draining",
-                    },
+                    EventKind::shard_state(shard as u64, "active", "draining"),
                 );
                 self.log(WalRecord::Drain {
                     shard: shard32(shard),
@@ -1918,11 +1912,7 @@ impl Cluster {
                 self.record(
                     None,
                     Some(shard),
-                    EventKind::ShardState {
-                        shard: shard as u64,
-                        from: "draining",
-                        to: "down",
-                    },
+                    EventKind::shard_state(shard as u64, "draining", "down"),
                 );
                 self.log(WalRecord::ShardDown {
                     shard: shard32(shard),
@@ -1982,11 +1972,7 @@ impl Cluster {
                 self.record(
                     None,
                     Some(shard),
-                    EventKind::ShardState {
-                        shard: shard as u64,
-                        from: "down",
-                        to: "active",
-                    },
+                    EventKind::shard_state(shard as u64, "down", "active"),
                 );
                 Ok(())
             }
@@ -2165,11 +2151,7 @@ impl Cluster {
         self.record(
             None,
             Some(shard),
-            EventKind::ShardState {
-                shard: shard as u64,
-                from,
-                to: "down",
-            },
+            EventKind::shard_state(shard as u64, from, "down"),
         );
         self.log(WalRecord::ShardDown {
             shard: shard32(shard),
@@ -2743,13 +2725,13 @@ impl Cluster {
         cl.record(
             None,
             None,
-            EventKind::WalRecovered {
+            EventKind::WalRecovered(Box::new(obs::WalRecovery {
                 frames: report.frames_replayed,
                 corrupt: report.corrupt_frames,
                 torn_tail: report.torn_tail,
                 restored: report.streams_restored,
                 lost: report.streams_lost,
-            },
+            })),
         );
         cl.end_op(rspan, "ok");
         cl.flush_journal();

@@ -34,7 +34,7 @@ use crate::cluster::{Cluster, ClusterConfig, ClusterCounters, ClusterError, Shar
 use crate::placement::mix64;
 use crate::retry::{OpApply, OpToken};
 use crate::storm::{
-    apply_resumes, audit_spans, gen_plans, inject_random_fault, oracle_matches, Client,
+    apply_resumes, audit_spans, gen_plans, inject_random_fault, loss_gaps, oracle_matches, Client,
     ClusterStormConfig, ShardSummary, SpanAudit,
 };
 use dream_lfsr::FlowOptions;
@@ -131,6 +131,9 @@ pub struct CrashStormReport {
     /// Losses the cluster recorded that the harness never observed
     /// (must be zero).
     pub losses_unaccounted: u64,
+    /// Losses the harness observed that the cluster no longer records
+    /// (must be zero).
+    pub losses_forgotten: u64,
     /// Logical streams still unfinished at the drain budget (must be
     /// zero).
     pub unfinished: u64,
@@ -211,6 +214,7 @@ impl CrashStormReport {
     pub fn passed(&self) -> bool {
         self.mismatches == 0
             && self.losses_unaccounted == 0
+            && self.losses_forgotten == 0
             && self.unfinished == 0
             && self.dup_violations == 0
             && self.spans.clean()
@@ -248,8 +252,13 @@ impl CrashStormReport {
         );
         let _ = writeln!(
             s,
-            "correctness   mismatches={} silent_losses={} dup_violations={} dups_suppressed={}",
-            self.mismatches, self.losses_unaccounted, self.dup_violations, self.dups_suppressed
+            "correctness   mismatches={} silent_losses={} forgotten_losses={} dup_violations={} \
+             dups_suppressed={}",
+            self.mismatches,
+            self.losses_unaccounted,
+            self.losses_forgotten,
+            self.dup_violations,
+            self.dups_suppressed
         );
         let _ = writeln!(
             s,
@@ -849,8 +858,7 @@ pub fn run_crash_storm(cfg: &CrashStormConfig) -> Result<CrashStormReport, Clust
     span_acc.adopt_spans(cl.trace());
     let span_audit = audit_spans(&span_acc);
     let dstats = disk.stats();
-    let losses_total = cl.losses().len() as u64;
-    let losses_unaccounted = losses_total - seen_losses.len() as u64;
+    let (losses_unaccounted, losses_forgotten) = loss_gaps(&cl.losses(), &seen_losses);
     let shard_lines = (0..base.shards)
         .map(|i| {
             let svc = cl.shard_service(i).expect("index in range");
@@ -876,6 +884,7 @@ pub fn run_crash_storm(cfg: &CrashStormConfig) -> Result<CrashStormReport, Clust
         restarts,
         mismatches,
         losses_unaccounted,
+        losses_forgotten,
         unfinished: plans.len() as u64 - completed,
         dup_violations,
         dups_suppressed,

@@ -15,7 +15,9 @@
 //! service structure iterates deterministically; two runs with the same
 //! seed render byte-identical reports (CI asserts this with `cmp`).
 
-use crate::cluster::{Cluster, ClusterConfig, ClusterCounters, ClusterError, ShardState};
+use crate::cluster::{
+    Cluster, ClusterConfig, ClusterCounters, ClusterError, ShardState, StreamLoss,
+};
 use dream_lfsr::FlowOptions;
 use gf2::BitVec;
 use lfsr::crc::{crc_bitwise, CrcSpec};
@@ -149,6 +151,9 @@ pub struct ClusterStormReport {
     /// Losses the cluster recorded that the harness never observed —
     /// the silent-loss count, which must be zero.
     pub losses_unaccounted: u64,
+    /// Losses the harness observed that the cluster no longer records
+    /// (must be zero).
+    pub losses_forgotten: u64,
     /// Completed streams whose digest differed from the oracle (must
     /// be zero, always).
     pub mismatches: u64,
@@ -184,6 +189,7 @@ impl ClusterStormReport {
         self.mismatches == 0
             && self.unfinished == 0
             && self.losses_unaccounted == 0
+            && self.losses_forgotten == 0
             && self.spans.clean()
     }
 
@@ -201,8 +207,8 @@ impl ClusterStormReport {
         );
         let _ = writeln!(
             s,
-            "correctness   mismatches={} faults_injected={} silent_losses={}",
-            self.mismatches, self.faults_injected, self.losses_unaccounted
+            "correctness   mismatches={} faults_injected={} silent_losses={} forgotten_losses={}",
+            self.mismatches, self.faults_injected, self.losses_unaccounted, self.losses_forgotten
         );
         let _ = writeln!(
             s,
@@ -350,6 +356,19 @@ pub(crate) fn gen_plans(
         });
     }
     plans
+}
+
+/// Loss accounting of a storm harness against the cluster's record:
+/// `(unaccounted, forgotten)`, the losses the cluster recorded that the
+/// harness never saw and the losses the harness saw that the cluster no
+/// longer records. Both must be zero; counting them apart keeps a
+/// forgotten loss from cancelling an unseen one.
+pub(crate) fn loss_gaps(recorded: &[StreamLoss], seen: &BTreeSet<u64>) -> (u64, u64) {
+    let recorded: BTreeSet<u64> = recorded.iter().map(|l| l.id).collect();
+    (
+        recorded.difference(seen).count() as u64,
+        seen.difference(&recorded).count() as u64,
+    )
 }
 
 pub(crate) fn inject_random_fault(svc: &mut StreamService, inj: &mut FaultInjector) -> bool {
@@ -644,8 +663,7 @@ pub fn run_cluster_storm(cfg: &ClusterStormConfig) -> Result<ClusterStormReport,
         }
     }
 
-    let losses_total = cl.losses().len() as u64;
-    let losses_unaccounted = losses_total - seen_losses.len() as u64;
+    let (losses_unaccounted, losses_forgotten) = loss_gaps(&cl.losses(), &seen_losses);
     let shard_lines = (0..cfg.shards)
         .map(|i| {
             let svc = cl.shard_service(i).expect("index in range");
@@ -674,6 +692,7 @@ pub fn run_cluster_storm(cfg: &ClusterStormConfig) -> Result<ClusterStormReport,
         lost_no_capacity: lost_by_reason[2],
         lost_corrupt: lost_by_reason[3],
         losses_unaccounted,
+        losses_forgotten,
         mismatches,
         unfinished: plans.len() as u64 - completed,
         faults_injected,
@@ -690,6 +709,29 @@ pub fn run_cluster_storm(cfg: &ClusterStormConfig) -> Result<ClusterStormReport,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::LossReason;
+
+    fn losses(ids: &[u64]) -> Vec<StreamLoss> {
+        ids.iter()
+            .map(|&id| StreamLoss {
+                id,
+                shard: 0,
+                reason: LossReason::NoCheckpoint,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_forgotten_loss_does_not_cancel_an_unseen_one() {
+        let seen: BTreeSet<u64> = [1, 3].into();
+        // Recorded {1, 2}, seen {1, 3}: a length difference reads 0.
+        assert_eq!(loss_gaps(&losses(&[1, 2]), &seen), (1, 1));
+        // Forgotten only: a length difference would underflow.
+        assert_eq!(loss_gaps(&losses(&[1]), &seen), (0, 1));
+        assert_eq!(loss_gaps(&[], &seen), (0, 2));
+        assert_eq!(loss_gaps(&losses(&[1, 3]), &seen), (0, 0));
+        assert_eq!(loss_gaps(&losses(&[1, 3, 4]), &seen), (1, 0));
+    }
 
     #[test]
     fn tiny_cluster_storm_is_exact_and_deterministic() {

@@ -75,14 +75,10 @@ impl DreamSystem {
     ///
     /// [`SystemError::UnknownPersonality`].
     pub fn crc_stream_begin(&self, name: &str) -> Result<BitVec, SystemError> {
-        let p = self
-            .personality(name)
-            .ok_or_else(|| SystemError::UnknownPersonality { name: name.into() })?;
-        let init = BitVec::from_u64(p.spec.init & p.spec.mask(), p.spec.width);
-        Ok(match &p.derby {
-            Some(derby) => derby.transform_state(&init),
-            None => init,
-        })
+        match (self.personality(name), self.start_state(name)) {
+            (Some(p), Some(x0)) => Ok(BitVec::from_u64(x0, p.spec.width)),
+            _ => Err(SystemError::UnknownPersonality { name: name.into() }),
+        }
     }
 
     /// Advances a transformed CRC stream state by `bits` (a whole number
@@ -157,20 +153,18 @@ impl DreamSystem {
         }
         let mut x = if has_derby {
             self.make_resident(name, 1)?;
-            self.fabric_mut_internal().run_linear(x_t)?
+            self.fabric_mut_internal().run_linear_word(x_t.to_u64())?
         } else {
-            x_t.clone()
+            x_t.to_u64()
         };
         let mut report = RunReport::default();
         if !residual.is_empty() {
             report.tail_cycles +=
                 (residual.len() as u64).div_ceil(8) * self.control_model().tail_cycles_per_byte;
             let tail = self.tail_engine(name).expect("registered");
-            tail.set_state(x);
-            tail.absorb(residual);
-            x = tail.state().clone();
+            x = tail.absorb_word(x, residual, 0..residual.len());
         }
-        Ok((finalize_raw(&spec, x.to_u64()), report))
+        Ok((finalize_raw(&spec, x), report))
     }
 
     /// Starts a scrambler stream from `seed`: the seed mapped into the

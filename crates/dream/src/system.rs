@@ -15,7 +15,7 @@
 
 use crate::perf::{ControlModel, RunReport};
 use gf2::BitVec;
-use lfsr::crc::{crc_bitwise, message_bits, reflect, CrcSpec, SoftwareKernel};
+use lfsr::crc::{crc_bitwise, message_bits_into, reflect, CrcSpec, SoftwareKernel};
 use lfsr::scramble::{AdditiveScrambler, ScramblerSpec};
 use lfsr::StateSpaceLfsr;
 use lfsr_parallel::DerbyTransform;
@@ -290,6 +290,13 @@ pub struct DreamSystem {
     use_clock: u64,
     /// Serial tail engines per personality (software side).
     tails: HashMap<String, StateSpaceLfsr>,
+    /// The state every message of a CRC personality starts from, one
+    /// word (CRC widths are at most 64): the spec's init register,
+    /// transformed (`T⁻¹·init`) for Derby personalities. Set by
+    /// `register` and `replace_personality`.
+    starts: HashMap<String, u64>,
+    /// The last checksum's message bits, kept for their storage.
+    msg_bits: BitVec,
     /// Per-personality health, as judged by scrubs/probes.
     health: HashMap<String, Health>,
     /// Handles into the fabric's unified metrics registry.
@@ -352,6 +359,8 @@ impl DreamSystem {
             slots: vec![None; contexts],
             use_clock: 0,
             tails: HashMap::new(),
+            starts: HashMap::new(),
+            msg_bits: BitVec::default(),
             health: HashMap::new(),
             ids,
             soft: HashMap::new(),
@@ -384,6 +393,7 @@ impl DreamSystem {
                 source,
             })?;
         self.tails.insert(p.name.clone(), tail);
+        self.starts.insert(p.name.clone(), start_state(&p));
         self.personalities.insert(p.name.clone(), p);
         Ok(())
     }
@@ -649,29 +659,29 @@ impl DreamSystem {
             ..Default::default()
         };
 
-        let bits = message_bits(&spec, data);
-        let init = BitVec::from_u64(spec.init & spec.mask(), spec.width);
-        let x_t0 = p.derby.as_ref().map(|d| d.transform_state(&init));
+        // Taken for the call and put back at its end (a failed call only
+        // costs the next one an allocation).
+        let mut bits = std::mem::take(&mut self.msg_bits);
+        message_bits_into(&spec, data, &mut bits);
+        let derby = p.derby.is_some();
         let full = bits.len() / m;
 
         self.ensure_resident(name, 0)?;
-        let mut x = match x_t0 {
-            Some(x_t0) => {
-                let x_t = self.sim.run_crc_blocks(&x_t0, &bits, full)?;
-                self.ensure_resident(name, 1)?;
-                self.sim.run_linear(&x_t)?
-            }
-            None => self.sim.run_crc_dense_blocks(&init, &bits, full)?,
+        let x0 = self.starts[name];
+        let mut x = if derby {
+            let x_t = self.sim.run_crc_blocks_word(x0, &bits, full)?;
+            self.ensure_resident(name, 1)?;
+            self.sim.run_linear_word(x_t)?
+        } else {
+            self.sim.run_crc_dense_blocks_word(x0, &bits, full)?
         };
 
         let tail_len = bits.len() - full * m;
         if tail_len > 0 {
             report.tail_cycles += (tail_len as u64).div_ceil(8) * self.control.tail_cycles_per_byte;
-            let tail_sys = self.tails.get_mut(name).expect("registered");
-            tail_sys.set_state(x);
-            tail_sys.absorb(&bits.slice(full * m, tail_len));
-            x = tail_sys.state().clone();
+            x = self.tails[name].absorb_word(x, &bits, full * m..bits.len());
         }
+        self.msg_bits = bits;
 
         let end = self.sim.counters();
         report.picoga = picoga::CycleCounters {
@@ -680,7 +690,7 @@ impl DreamSystem {
             context_load: end.context_load - start.context_load,
         };
 
-        let mut out = x.to_u64();
+        let mut out = x;
         if spec.refout {
             out = reflect(out, spec.width);
         }
@@ -846,11 +856,19 @@ impl DreamSystem {
         let scr_info = self.scramblers.get(name).map(|p| (p.spec, p.m));
         let ok = if let Some((spec, m)) = crc_info {
             let len = ((m * blocks.max(1)) / 8).max(1);
-            let data: Vec<u8> = (0..len as u64)
-                .map(|i| (i.wrapping_mul(151).wrapping_add(salt.wrapping_mul(29)) ^ 0x5A) as u8)
-                .collect();
-            let (got, _) = self.checksum(name, &data)?;
-            got == crc_bitwise(&spec, &data)
+            // The message lives on the stack unless it is unusually long.
+            let (mut stack, mut heap) = ([0u8; 256], Vec::new());
+            let data = if len <= stack.len() {
+                &mut stack[..len]
+            } else {
+                heap.resize(len, 0);
+                &mut heap[..]
+            };
+            for (i, b) in (0u64..).zip(data.iter_mut()) {
+                *b = (i.wrapping_mul(151).wrapping_add(salt.wrapping_mul(29)) ^ 0x5A) as u8;
+            }
+            let (got, _) = self.checksum(name, data)?;
+            got == crc_bitwise(&spec, data)
         } else if let Some((spec, m)) = scr_info {
             let bits = m * blocks.max(1);
             let mut frame = BitVec::zeros(bits);
@@ -909,27 +927,22 @@ impl DreamSystem {
     /// [`SystemError::UnknownPersonality`], [`SystemError::ProbeUnsound`]
     /// or fabric errors.
     pub fn datapath_probe(&mut self, name: &str) -> Result<bool, SystemError> {
-        let cert = self.linearity_cert(name)?;
-        if !cert.affine {
+        if !self.certified_affine(name)? {
+            let cert = self.linearity_cert(name)?;
             return Err(SystemError::ProbeUnsound {
                 name: name.into(),
                 summary: cert.summary(),
             });
         }
         self.sim.obs_mut().registry.inc(self.ids.probe_runs);
-        let mut roles: Vec<u8> = Vec::new();
-        if let Some(p) = self.personalities.get(name) {
-            roles.push(0);
-            if p.finalize.is_some() {
-                roles.push(1);
-            }
-        } else if self.scramblers.contains_key(name) {
-            roles.push(2);
-        } else {
-            return Err(SystemError::UnknownPersonality { name: name.into() });
-        }
+        let roles: &[u8] = match self.personalities.get(name) {
+            Some(p) if p.finalize.is_some() => &[0, 1],
+            Some(_) => &[0],
+            None if self.scramblers.contains_key(name) => &[2],
+            None => return Err(SystemError::UnknownPersonality { name: name.into() }),
+        };
         let mut ok = true;
-        for role in roles {
+        for &role in roles {
             let slot = if role == 2 {
                 self.ensure_scrambler_resident(name)?
             } else {
@@ -949,6 +962,21 @@ impl DreamSystem {
             .obs_mut()
             .event_for(None, Some(name), EventKind::ProbeRun { ok });
         Ok(ok)
+    }
+
+    /// Whether the personality's linearity certificate (see
+    /// [`DreamSystem::linearity_cert`]) proves it affine, read without
+    /// copying the certificate.
+    fn certified_affine(&mut self, name: &str) -> Result<bool, SystemError> {
+        let attached = self
+            .personalities
+            .get(name)
+            .map(|p| p.linearity.as_ref())
+            .or_else(|| self.scramblers.get(name).map(|p| p.linearity.as_ref()));
+        match attached {
+            Some(Some(cert)) => Ok(cert.affine),
+            _ => Ok(self.linearity_cert(name)?.affine),
+        }
     }
 
     /// The personality's linearity certificate: the one the build flow
@@ -1056,6 +1084,7 @@ impl DreamSystem {
             })?;
         self.evict(&p.name);
         self.tails.insert(p.name.clone(), tail);
+        self.starts.insert(p.name.clone(), start_state(&p));
         self.soft.remove(&p.name);
         self.pristine.remove(&p.name);
         self.personalities.insert(p.name.clone(), p);
@@ -1145,9 +1174,24 @@ impl DreamSystem {
         &self.control
     }
 
+    /// The state a registered CRC personality's messages start from.
+    pub(crate) fn start_state(&self, name: &str) -> Option<u64> {
+        self.starts.get(name).copied()
+    }
+
     /// The serial tail engine of a registered personality.
     pub(crate) fn tail_engine(&mut self, name: &str) -> Option<&mut StateSpaceLfsr> {
         self.tails.get_mut(name)
+    }
+}
+
+/// The state a CRC personality's messages start from: the spec's init
+/// register, in the transformed domain when the lane is a Derby lane.
+fn start_state(p: &Personality) -> u64 {
+    let init = BitVec::from_u64(p.spec.init & p.spec.mask(), p.spec.width);
+    match &p.derby {
+        Some(derby) => derby.transform_state(&init).to_u64(),
+        None => init.to_u64(),
     }
 }
 
@@ -1538,6 +1582,37 @@ pub(crate) mod tests {
             sys.replace_personality(other),
             Err(SystemError::UnknownPersonality { .. })
         ));
+    }
+
+    #[test]
+    fn replacing_the_spec_under_the_same_name_moves_its_start_state() {
+        // Same generator and M, only the init register differs: a start
+        // state kept from the first spec would run without complaint.
+        let data = b"replaced under the same name!".to_vec();
+        for (first, second) in [
+            ("CRC-16/ARC", "CRC-16/MODBUS"),
+            ("CRC-32/ETHERNET", "CRC-32/CKSUM"),
+        ] {
+            let spec = CrcSpec::by_name(first).unwrap();
+            let mut sys = system_with(&[("lane", first, 32)]);
+            let (crc, _) = sys.checksum("lane", &data).unwrap();
+            assert_eq!(crc, crc_bitwise(spec, &data), "{first}");
+            let spec = CrcSpec::by_name(second).unwrap();
+            sys.replace_personality(personality("lane", spec, 32).unwrap())
+                .unwrap();
+            let (crc, _) = sys.checksum("lane", &data).unwrap();
+            assert_eq!(crc, crc_bitwise(spec, &data), "{second}");
+            // A stream starts from the same state.
+            let bits = lfsr::crc::message_bits(spec, &data);
+            let full = bits.len() / 32 * 32;
+            let x0 = sys.crc_stream_begin("lane").unwrap();
+            let x = sys
+                .crc_stream_feed("lane", &x0, &bits.slice(0, full))
+                .unwrap();
+            let rest = bits.slice(full, bits.len() - full);
+            let (crc, _) = sys.crc_stream_finish("lane", &x, &rest).unwrap();
+            assert_eq!(crc, crc_bitwise(spec, &data), "{second} streamed");
+        }
     }
 
     #[test]

@@ -319,6 +319,17 @@ impl BitVec {
         v
     }
 
+    /// Overwrites the vector with `len` bits from LSB-first `words`, as
+    /// [`BitVec::from_words`] builds one, keeping its storage.
+    pub fn assign_words(&mut self, words: impl IntoIterator<Item = u64>, len: usize) {
+        let n = words_for(len);
+        self.words.clear();
+        self.words.extend(words.into_iter().take(n));
+        self.words.resize(n, 0);
+        self.len = len;
+        self.mask_tail();
+    }
+
     /// Index of the highest set bit, or `None` if the vector is zero.
     pub fn highest_one(&self) -> Option<usize> {
         for (wi, &w) in self.words.iter().enumerate().rev() {

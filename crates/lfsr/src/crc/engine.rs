@@ -66,12 +66,27 @@ impl RawCrcCore for SerialCore {
 /// honouring the spec's input reflection (LSB-first per byte when
 /// `refin`, MSB-first otherwise).
 pub fn message_bits(spec: &CrcSpec, data: &[u8]) -> BitVec {
-    let len = data.len() * 8;
-    if spec.refin {
-        return BitVec::from_le_bytes(data, len);
-    }
-    let reversed: Vec<u8> = data.iter().map(|b| b.reverse_bits()).collect();
-    BitVec::from_le_bytes(&reversed, len)
+    let mut bits = BitVec::default();
+    message_bits_into(spec, data, &mut bits);
+    bits
+}
+
+/// [`message_bits`] into `out`, reusing its storage.
+pub fn message_bits_into(spec: &CrcSpec, data: &[u8], out: &mut BitVec) {
+    let refin = spec.refin;
+    let words = data.chunks(8).map(|c| {
+        let mut w = [0u8; 8];
+        w[..c.len()].copy_from_slice(c);
+        let w = u64::from_le_bytes(w);
+        // Reversing all 64 bits, then the byte order, reverses each
+        // byte's bits in place.
+        if refin {
+            w
+        } else {
+            w.reverse_bits().swap_bytes()
+        }
+    });
+    out.assign_words(words, data.len() * 8);
 }
 
 /// A complete CRC algorithm: a [`CrcSpec`] driving any [`RawCrcCore`].
@@ -137,6 +152,29 @@ mod tests {
     use super::*;
     use crate::crc::software::crc_bitwise;
     use crate::crc::spec::CATALOG;
+
+    #[test]
+    fn message_bits_reflect_each_byte_as_the_spec_says() {
+        let data: Vec<u8> = (0..21u32).map(|i| (i * 73 + 5) as u8).collect();
+        let mut reused = BitVec::from_u64(u64::MAX, 200);
+        for spec in CATALOG {
+            for len in [0, 1, 7, 8, 9, 21] {
+                let data = &data[..len];
+                let want: BitVec = if spec.refin {
+                    data.iter()
+                        .flat_map(|&b| (0..8).map(move |i| (b >> i) & 1 == 1))
+                        .collect()
+                } else {
+                    data.iter()
+                        .flat_map(|&b| (0..8).rev().map(move |i| (b >> i) & 1 == 1))
+                        .collect()
+                };
+                assert_eq!(message_bits(spec, data), want, "{} len {len}", spec.name);
+                message_bits_into(spec, data, &mut reused);
+                assert_eq!(reused, want, "{} len {len} into", spec.name);
+            }
+        }
+    }
 
     #[test]
     fn serial_engine_matches_every_check_value() {

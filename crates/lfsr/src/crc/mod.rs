@@ -8,7 +8,7 @@ mod spec;
 mod stream;
 
 pub use combine::crc_combine;
-pub use engine::{message_bits, CrcEngine, RawCrcCore, SerialCore};
+pub use engine::{message_bits, message_bits_into, CrcEngine, RawCrcCore, SerialCore};
 pub use software::{
     crc_bitwise, finalize_raw, reflect, SarwateCrc, SlicingCrc, SoftwareCrcError, SoftwareKernel,
 };

@@ -308,6 +308,11 @@ impl SlicingCrc {
 
     /// Absorbs more message bytes.
     pub fn update(&mut self, data: &[u8]) {
+        self.reg = self.absorb(self.reg, data);
+    }
+
+    /// The register after absorbing `data` from register `reg`.
+    fn absorb(&self, mut reg: u64, data: &[u8]) -> u64 {
         let n = self.slices;
         let mut chunks = data.chunks_exact(n);
         for chunk in &mut chunks {
@@ -316,20 +321,21 @@ impl SlicingCrc {
             let mut acc = 0u64;
             for (j, &b) in chunk.iter().enumerate() {
                 let x = if j < 8 {
-                    b as u64 ^ ((self.reg >> (8 * j)) & 0xFF)
+                    b as u64 ^ ((reg >> (8 * j)) & 0xFF)
                 } else {
                     b as u64
                 };
                 acc ^= self.tables[n - 1 - j][x as usize];
             }
             // Any register bytes beyond the chunk (width > 8*n) shift down.
-            self.reg = if 8 * n >= 64 { 0 } else { self.reg >> (8 * n) } ^ acc;
+            reg = if 8 * n >= 64 { 0 } else { reg >> (8 * n) } ^ acc;
         }
         // Byte-table tail.
         for &b in chunks.remainder() {
-            let idx = ((self.reg ^ b as u64) & 0xFF) as usize;
-            self.reg = (self.reg >> 8) ^ self.tables[0][idx];
+            let idx = ((reg ^ b as u64) & 0xFF) as usize;
+            reg = (reg >> 8) ^ self.tables[0][idx];
         }
+        reg
     }
 
     /// Returns the checksum of everything absorbed since the last reset.
@@ -342,6 +348,14 @@ impl SlicingCrc {
         self.reset();
         self.update(data);
         self.finalize()
+    }
+
+    /// The checksum of `data` alone, leaving the running computation
+    /// untouched, so one engine and its tables can serve any number of
+    /// callers through a shared reference.
+    pub fn checksum_of(&self, data: &[u8]) -> u64 {
+        let init = reflect(self.spec.init & self.spec.mask(), self.spec.width);
+        (self.absorb(init, data) ^ self.spec.xorout) & self.spec.mask()
     }
 }
 

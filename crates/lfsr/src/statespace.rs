@@ -371,6 +371,23 @@ impl StateSpaceLfsr {
         self.run_words(bits, None);
     }
 
+    /// The state after absorbing bits `range` of `bits` from state `x`,
+    /// for a state of at most 64 bits held in one word: the engine's own
+    /// state is untouched and nothing is allocated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the state is wider than 64 bits.
+    pub fn absorb_word(&self, x: u64, bits: &BitVec, range: std::ops::Range<usize>) -> u64 {
+        assert_eq!(self.packed.kw, 1, "absorb_word needs a one-word state");
+        let (mut x, mut next) = ([x], [0u64]);
+        for i in range {
+            self.packed.step(&x, bits.get(i), &mut next);
+            x = next;
+        }
+        x[0]
+    }
+
     /// Steps through `bits`, collecting the (single-bit) outputs — the
     /// scrambler usage pattern. Runs on packed words, like
     /// [`StateSpaceLfsr::absorb`].
@@ -454,6 +471,20 @@ mod tests {
         assert_eq!(s.b().to_u64(), 0b0011); // g0=1, g1=1
         assert_eq!(*s.c(), BitMat::identity(4));
         assert!(s.d().is_zero());
+    }
+
+    #[test]
+    fn absorb_word_matches_absorb_on_the_range() {
+        let mut s = StateSpaceLfsr::crc(&Gf2Poly::from_u64(0x1_04C1_1DB7)).unwrap();
+        let bits = BitVec::from_bits((0..150u32).map(|i| (i * 7 + i / 3) % 5 < 2));
+        for (start, end) in [(0, 0), (0, 1), (3, 40), (17, 150), (64, 130)] {
+            let x0 = 0xDEAD_BEEFu64 ^ start as u64;
+            s.set_state(BitVec::from_u64(x0, 32));
+            s.absorb(&bits.slice(start, end - start));
+            let before = s.state().clone();
+            assert_eq!(s.absorb_word(x0, &bits, start..end), before.to_u64());
+            assert_eq!(*s.state(), before, "own state untouched");
+        }
     }
 
     #[test]

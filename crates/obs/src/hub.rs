@@ -95,6 +95,6 @@ mod tests {
         let e = hub.tracer.events().next().unwrap().clone();
         assert_eq!(e.cycle, 42);
         assert_eq!(e.stream, Some(3));
-        assert_eq!(e.lane.as_deref(), Some("eth32"));
+        assert_eq!(hub.tracer.lane_of(&e), Some("eth32"));
     }
 }

@@ -42,7 +42,7 @@ pub use registry::{
 };
 pub use scope::{Rollup, ScopeId, ScopedView};
 pub use span::{SpanCtx, SpanId, SpanRecord};
-pub use trace::{EventKind, TraceEvent, Tracer};
+pub use trace::{EventKind, ShardTransition, TraceEvent, Tracer, WalRecovery};
 
 /// Minimal JSON string escaping (quotes, backslash, control chars) for the
 /// hand-rolled exporters. Metric and lane names are ASCII identifiers in

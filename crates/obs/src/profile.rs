@@ -66,7 +66,11 @@ impl FabricProfiler {
         } else {
             &self.lane
         };
-        let u = self.lanes.entry(key.to_owned()).or_default();
+        // The key is allocated on the lane's first charge only.
+        if !self.lanes.contains_key(key) {
+            self.lanes.insert(key.to_owned(), LaneUsage::default());
+        }
+        let u = self.lanes.get_mut(key).expect("inserted above");
         u.busy_cycles = u.busy_cycles.saturating_add(busy);
         u.issues = u.issues.saturating_add(issues);
         u.blocks = u.blocks.saturating_add(blocks);

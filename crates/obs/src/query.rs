@@ -35,7 +35,7 @@ impl<'a> TraceQuery<'a> {
     pub fn events_in_span(&self, id: SpanId) -> Vec<&'a TraceEvent> {
         self.tracer
             .events()
-            .filter(|e| e.span == Some(id.raw()))
+            .filter(|e| e.span() == Some(id.raw()))
             .collect()
     }
 

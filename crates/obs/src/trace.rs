@@ -4,9 +4,15 @@
 //! never a wall clock — so two runs with the same seed produce
 //! byte-identical traces. A monotonically increasing sequence number keeps
 //! global ordering even after the ring drops old events.
+//!
+//! An event is kept small (at most 80 bytes), because every fabric, shard
+//! and cluster holds a ring of thousands: its sequence number follows from
+//! its place in the ring, its lane is an index into the tracer's interned
+//! names, and the two payloads wider than 32 bytes are boxed.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
+use std::num::NonZeroU64;
 use std::sync::Arc;
 
 use crate::json_escape;
@@ -93,14 +99,7 @@ pub enum EventKind {
     /// migration (the snapshot leaves with the caller).
     StreamDetach,
     /// Cluster-level: a shard changed lifecycle state.
-    ShardState {
-        /// The shard's index in the cluster.
-        shard: u64,
-        /// State before (`active`, `draining`, `down`).
-        from: &'static str,
-        /// State after.
-        to: &'static str,
-    },
+    ShardState(Box<ShardTransition>),
     /// Cluster-level: a stream migrated between shards (checkpoint →
     /// transfer → restore, digest-verified).
     StreamMigrate {
@@ -180,21 +179,42 @@ pub enum EventKind {
     },
     /// Cluster-level: the control plane was rebuilt from its
     /// write-ahead log after a whole-cluster crash.
-    WalRecovered {
-        /// Complete frames the replay accepted.
-        frames: u64,
-        /// CRC-rejected frames the replay skipped.
-        corrupt: u64,
-        /// Whether the durable log ended in a torn (truncated) frame.
-        torn_tail: bool,
-        /// Streams restored to a serving shard.
-        restored: u64,
-        /// Streams declared lost (typed, never silent).
-        lost: u64,
-    },
+    WalRecovered(Box<WalRecovery>),
+}
+
+/// The payload of [`EventKind::ShardState`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ShardTransition {
+    /// The shard's index in the cluster.
+    pub shard: u64,
+    /// State before (`active`, `draining`, `down`).
+    pub from: &'static str,
+    /// State after.
+    pub to: &'static str,
+}
+
+/// The payload of [`EventKind::WalRecovered`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WalRecovery {
+    /// Complete frames the replay accepted.
+    pub frames: u64,
+    /// CRC-rejected frames the replay skipped.
+    pub corrupt: u64,
+    /// Whether the durable log ended in a torn (truncated) frame.
+    pub torn_tail: bool,
+    /// Streams restored to a serving shard.
+    pub restored: u64,
+    /// Streams declared lost (typed, never silent).
+    pub lost: u64,
 }
 
 impl EventKind {
+    /// [`EventKind::ShardState`] for shard `shard` moving `from` → `to`.
+    #[must_use]
+    pub fn shard_state(shard: u64, from: &'static str, to: &'static str) -> Self {
+        EventKind::ShardState(Box::new(ShardTransition { shard, from, to }))
+    }
+
     /// Stable, machine-friendly label for the event type.
     #[must_use]
     pub fn label(&self) -> &'static str {
@@ -217,7 +237,7 @@ impl EventKind {
             EventKind::LevelTransition { .. } => "level_transition",
             EventKind::BatchRollback { .. } => "batch_rollback",
             EventKind::StreamDetach => "stream_detach",
-            EventKind::ShardState { .. } => "shard_state",
+            EventKind::ShardState(_) => "shard_state",
             EventKind::StreamMigrate { .. } => "stream_migrate",
             EventKind::StreamFailover { .. } => "stream_failover",
             EventKind::StreamLost { .. } => "stream_lost",
@@ -230,7 +250,7 @@ impl EventKind {
             EventKind::UpgradeStage { .. } => "upgrade_stage",
             EventKind::SpanBegin { .. } => "span_begin",
             EventKind::SpanEnd { .. } => "span_end",
-            EventKind::WalRecovered { .. } => "wal_recovered",
+            EventKind::WalRecovered(_) => "wal_recovered",
         }
     }
 
@@ -252,10 +272,10 @@ impl EventKind {
                 vec![("from", (*from).to_string()), ("to", (*to).to_string())]
             }
             EventKind::BatchRollback { streams } => vec![("streams", streams.to_string())],
-            EventKind::ShardState { shard, from, to } => vec![
-                ("shard", shard.to_string()),
-                ("from", (*from).to_string()),
-                ("to", (*to).to_string()),
+            EventKind::ShardState(t) => vec![
+                ("shard", t.shard.to_string()),
+                ("from", t.from.to_string()),
+                ("to", t.to.to_string()),
             ],
             EventKind::StreamMigrate {
                 from_shard,
@@ -287,18 +307,12 @@ impl EventKind {
                 ("op", (*op).to_string()),
                 ("outcome", (*outcome).to_string()),
             ],
-            EventKind::WalRecovered {
-                frames,
-                corrupt,
-                torn_tail,
-                restored,
-                lost,
-            } => vec![
-                ("frames", frames.to_string()),
-                ("corrupt", corrupt.to_string()),
-                ("torn_tail", torn_tail.to_string()),
-                ("restored", restored.to_string()),
-                ("lost", lost.to_string()),
+            EventKind::WalRecovered(r) => vec![
+                ("frames", r.frames.to_string()),
+                ("corrupt", r.corrupt.to_string()),
+                ("torn_tail", r.torn_tail.to_string()),
+                ("restored", r.restored.to_string()),
+                ("lost", r.lost.to_string()),
             ],
             EventKind::Detection
             | EventKind::RecoveryStart
@@ -313,23 +327,32 @@ impl EventKind {
     }
 }
 
-/// One recorded event.
+/// One recorded event. Its sequence number and lane name live in the
+/// [`Tracer`] that holds it (see [`Tracer::events_with_seq`] and
+/// [`Tracer::lane_of`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
-    /// Global sequence number (monotonic, survives ring-buffer drops).
-    pub seq: u64,
     /// Simulated fabric cycle at record time.
     pub cycle: u64,
     /// Correlated stream id, when the event belongs to a session.
     pub stream: Option<u64>,
-    /// Correlated personality/lane name, when known: the tracer's one
-    /// shared copy of that name.
-    pub lane: Option<Arc<str>>,
-    /// Enclosing causal span's raw id, when the event happened inside
-    /// one (see [`crate::SpanId`]).
-    pub span: Option<u64>,
+    /// Correlated personality/lane name, when known: an index into the
+    /// tracer's interned names.
+    lane: Option<u32>,
+    /// Enclosing causal span's id, when the event happened inside one
+    /// (span ids start at 1).
+    span: Option<NonZeroU64>,
     /// What happened.
     pub kind: EventKind,
+}
+
+impl TraceEvent {
+    /// The enclosing causal span's raw id, when the event happened
+    /// inside one (see [`crate::SpanId`]).
+    #[must_use]
+    pub fn span(&self) -> Option<u64> {
+        self.span.map(NonZeroU64::get)
+    }
 }
 
 /// Bounded ring buffer of [`TraceEvent`]s.
@@ -341,9 +364,13 @@ pub struct Tracer {
     buf: VecDeque<TraceEvent>,
     spans: Vec<SpanRecord>,
     span_misuse: u64,
-    /// One shared copy of every lane name recorded so far, so an event
-    /// holds a pointer instead of its own string.
-    lanes: HashSet<Arc<str>>,
+    /// Every lane name recorded so far, once each; an event holds its
+    /// index.
+    lanes: Vec<Arc<str>>,
+    /// Index of each name in `lanes`.
+    lane_ids: HashMap<Arc<str>, u32>,
+    /// The lane interned last: runs of events on one lane skip the map.
+    last_lane: Option<u32>,
 }
 
 impl Tracer {
@@ -357,7 +384,9 @@ impl Tracer {
             buf: VecDeque::new(),
             spans: Vec::new(),
             span_misuse: 0,
-            lanes: HashSet::new(),
+            lanes: Vec::new(),
+            lane_ids: HashMap::new(),
+            last_lane: None,
         }
     }
 
@@ -395,24 +424,39 @@ impl Tracer {
         }
         let lane = lane.map(|l| self.intern(l));
         self.buf.push_back(TraceEvent {
-            seq: self.next_seq,
             cycle,
             stream,
             lane,
-            span,
+            span: span.and_then(NonZeroU64::new),
             kind,
         });
         self.next_seq = self.next_seq.saturating_add(1);
     }
 
-    /// The shared copy of `lane`, made on its first use.
-    fn intern(&mut self, lane: &str) -> Arc<str> {
-        if let Some(l) = self.lanes.get(lane) {
-            return Arc::clone(l);
+    /// The index of `lane` among the interned names, added on its first
+    /// use.
+    fn intern(&mut self, lane: &str) -> u32 {
+        if let Some(i) = self.last_lane.filter(|&i| *self.lanes[i as usize] == *lane) {
+            return i;
         }
-        let l: Arc<str> = Arc::from(lane);
-        self.lanes.insert(Arc::clone(&l));
-        l
+        let i = match self.lane_ids.get(lane) {
+            Some(&i) => i,
+            None => {
+                let i = u32::try_from(self.lanes.len()).expect("lane count fits u32");
+                let name: Arc<str> = Arc::from(lane);
+                self.lanes.push(Arc::clone(&name));
+                self.lane_ids.insert(name, i);
+                i
+            }
+        };
+        self.last_lane = Some(i);
+        i
+    }
+
+    /// The lane name `e` is correlated to, when it has one.
+    #[must_use]
+    pub fn lane_of(&self, e: &TraceEvent) -> Option<&str> {
+        e.lane.map(|i| &*self.lanes[i as usize])
     }
 
     /// Opens a causal span for operation `op` at simulated `cycle` with
@@ -550,6 +594,14 @@ impl Tracer {
         self.buf.iter()
     }
 
+    /// The retained events with their global sequence numbers, oldest
+    /// first. The ring holds the last events recorded, so the numbers
+    /// are consecutive and end just before [`Tracer::recorded`].
+    pub fn events_with_seq(&self) -> impl Iterator<Item = (u64, &TraceEvent)> {
+        let first = self.next_seq - self.buf.len() as u64;
+        (first..).zip(self.buf.iter())
+    }
+
     /// Number of retained events.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -589,21 +641,15 @@ impl Tracer {
     #[must_use]
     pub fn render(&self) -> String {
         let mut out = String::new();
-        for e in &self.buf {
-            let _ = write!(
-                out,
-                "seq={} cycle={} kind={}",
-                e.seq,
-                e.cycle,
-                e.kind.label()
-            );
+        for (seq, e) in self.events_with_seq() {
+            let _ = write!(out, "seq={seq} cycle={} kind={}", e.cycle, e.kind.label());
             if let Some(s) = e.stream {
                 let _ = write!(out, " stream={s}");
             }
-            if let Some(lane) = &e.lane {
+            if let Some(lane) = self.lane_of(e) {
                 let _ = write!(out, " lane={lane}");
             }
-            if let Some(span) = e.span {
+            if let Some(span) = e.span() {
                 let _ = write!(out, " span={span}");
             }
             for (k, v) in e.kind.fields() {
@@ -618,21 +664,20 @@ impl Tracer {
     #[must_use]
     pub fn to_json_lines(&self) -> String {
         let mut out = String::new();
-        for e in &self.buf {
+        for (seq, e) in self.events_with_seq() {
             let _ = write!(
                 out,
-                "{{\"seq\":{},\"cycle\":{},\"kind\":\"{}\"",
-                e.seq,
+                "{{\"seq\":{seq},\"cycle\":{},\"kind\":\"{}\"",
                 e.cycle,
                 e.kind.label()
             );
             if let Some(s) = e.stream {
                 let _ = write!(out, ",\"stream\":{s}");
             }
-            if let Some(lane) = &e.lane {
+            if let Some(lane) = self.lane_of(e) {
                 let _ = write!(out, ",\"lane\":\"{}\"", json_escape(lane));
             }
-            if let Some(span) = e.span {
+            if let Some(span) = e.span() {
                 let _ = write!(out, ",\"span\":{span}");
             }
             for (k, v) in e.kind.fields() {
@@ -651,7 +696,7 @@ impl Tracer {
 
 #[cfg(test)]
 mod tests {
-    use super::{EventKind, SpanCtx, SpanId, Tracer};
+    use super::{EventKind, SpanCtx, SpanId, TraceEvent, Tracer};
 
     #[test]
     fn ring_drops_oldest_and_keeps_sequence() {
@@ -662,8 +707,40 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert_eq!(t.dropped(), 1);
         assert_eq!(t.recorded(), 3);
-        let seqs: Vec<u64> = t.events().map(|e| e.seq).collect();
+        let seqs: Vec<u64> = t.events_with_seq().map(|(seq, _)| seq).collect();
         assert_eq!(seqs, vec![1, 2]);
+        t.clear();
+        t.record(4, None, Some("eth8"), EventKind::Detection);
+        let (seq, e) = t.events_with_seq().next().unwrap();
+        assert_eq!((seq, t.lane_of(e)), (3, Some("eth8")));
+    }
+
+    #[test]
+    fn events_stay_small() {
+        assert!(std::mem::size_of::<TraceEvent>() <= 80);
+    }
+
+    #[test]
+    fn lanes_are_interned_once_and_resolved() {
+        let mut t = Tracer::new(8);
+        for lane in ["a", "b", "a", "a", "c", "b"] {
+            t.record(1, None, Some(lane), EventKind::StreamAdmit);
+        }
+        t.record(1, None, None, EventKind::StreamAdmit);
+        let lanes: Vec<Option<&str>> = t.events().map(|e| t.lane_of(e)).collect();
+        assert_eq!(
+            lanes,
+            [
+                Some("a"),
+                Some("b"),
+                Some("a"),
+                Some("a"),
+                Some("c"),
+                Some("b"),
+                None
+            ]
+        );
+        assert_eq!(t.lanes.len(), 3);
     }
 
     #[test]

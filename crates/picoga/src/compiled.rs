@@ -44,7 +44,7 @@ impl Compiled {
         // resp[v·w..(v + 1)·w].
         let mut resp = vec![0u64; (n + 1) * w];
         let mut values = Vec::new();
-        tape.sweep(&mut values, |lo, _, values| {
+        tape.sweep(&mut values, |lo, values| {
             scatter(
                 width,
                 (n + 1 - lo).min(64),

@@ -17,6 +17,7 @@
 use crate::arch::PicogaParams;
 use crate::compiled::Compiled;
 use crate::fault::InjectError;
+use crate::tape::probe_inputs;
 use gf2::{BitMat, BitVec};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -267,6 +268,10 @@ struct Config {
     /// The compile of this configuration on a fabric with no stuck
     /// cells under it, made on first use.
     compiled: OnceLock<Arc<Compiled>>,
+    /// The configuration's gate-order responses to the datapath probe's
+    /// vectors, made on the first probe (see
+    /// [`PgaOperation::probe_responses`]).
+    probe: OnceLock<Vec<u64>>,
 }
 
 impl PartialEq for PgaOperation {
@@ -396,16 +401,50 @@ impl PgaOperation {
                 placement,
                 kind,
                 compiled: OnceLock::new(),
+                probe: OnceLock::new(),
             }),
         }
     }
 
     /// The configuration for writing: copied first when other clones
-    /// share it, and without its compile, which no longer describes it.
+    /// share it, and without its compile and probe responses, which no
+    /// longer describe it.
     fn config_mut(&mut self) -> &mut Config {
         let config = Arc::make_mut(&mut self.config);
         config.compiled = OnceLock::new();
+        config.probe = OnceLock::new();
         config
+    }
+
+    /// What the configuration answers to the datapath probe's vectors
+    /// (the zero vector and every input basis vector, 64 to a pass as
+    /// `Tape::sweep` runs them): for each pass, the gate-order
+    /// evaluation's word for every output, `outputs().len()` words per
+    /// pass. It depends on the configuration alone, so it is made on the
+    /// first probe and shared by every clone that still shares the
+    /// configuration; the datapath side is swept on every probe.
+    pub(crate) fn probe_responses(&self) -> &[u64] {
+        self.config.probe.get_or_init(|| {
+            let net = &self.config.net;
+            let n = net.n_inputs();
+            let outputs = net.outputs().len();
+            let mut inputs = vec![0u64; n];
+            let mut values = Vec::new();
+            let mut responses = Vec::with_capacity(n.div_ceil(64).max(1) * outputs);
+            for lo in (0..=n).step_by(64) {
+                probe_inputs(lo, &mut inputs);
+                net.evaluate_lanes(&inputs, &mut values);
+                responses.extend((0..outputs).map(|o| net.output_lanes(&values, o)));
+            }
+            responses
+        })
+    }
+
+    /// Where the configuration lives, to tell a write in place from a
+    /// copy.
+    #[cfg(test)]
+    pub(crate) fn config_addr(&self) -> *const () {
+        Arc::as_ptr(&self.config).cast()
     }
 
     /// The stuck-free compile of this configuration, made on first use

@@ -167,6 +167,25 @@ fn packed(bits: &BitVec, m: usize) -> impl Fn(usize, usize) -> u64 + '_ {
     }
 }
 
+/// The error of a one-word call on an operation wider than a word.
+const ONE_WORD: SimError = SimError::WrongOpShape {
+    expected: "one-word",
+};
+
+/// The dense loop on a one-word state: `s ← c ⊕ D·u_b ⊕ S·s` per block.
+fn dense_word_loop(
+    code: &Compiled,
+    mut s: u64,
+    n: usize,
+    word: impl Fn(usize, usize) -> u64,
+) -> u64 {
+    for b in 0..n {
+        let y = code.data.apply_word(|g| word(b, g));
+        s = y ^ code.state.apply_word(|_| s);
+    }
+    s
+}
+
 /// Word `g` of block `b` of a list of blocks.
 fn listed<'a>(blocks: &'a [&'a BitVec]) -> impl Fn(usize, usize) -> u64 + 'a {
     move |b, g| blocks[b].words()[g]
@@ -616,12 +635,38 @@ impl PicogaSim {
         let table = &ctx.code.data;
         let mut out = vec![0u64; table.out_words()];
         table.apply(inputs.words(), &mut out);
-        let width = table.n_outputs();
-        let stats = ctx.op.stats();
+        let (width, stats) = (table.n_outputs(), ctx.op.stats());
+        self.charge_linear(stats);
+        Ok(BitVec::from_words(out, width))
+    }
+
+    /// [`PicogaSim::run_linear`] for an operation of at most 64 inputs
+    /// and 64 outputs, on one word each way (bit `i` is signal bit `i`):
+    /// nothing is allocated.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::WrongOpShape`] unless the active operation is linear
+    /// and one word wide.
+    pub fn run_linear_word(&mut self, inputs: u64) -> Result<u64, SimError> {
+        let (ctx, _) = self.active_parts()?;
+        if !ctx.op.is_linear() {
+            return Err(SimError::WrongOpShape { expected: "linear" });
+        }
+        let table = &ctx.code.data;
+        if table.n_inputs() > 64 || table.out_words() > 1 {
+            return Err(ONE_WORD);
+        }
+        let (out, stats) = (table.apply_word(|_| inputs), ctx.op.stats());
+        self.charge_linear(stats);
+        Ok(out)
+    }
+
+    /// Charges one issue of a linear operation: its full latency.
+    fn charge_linear(&mut self, stats: OpStats) {
         let latency = stats.latency.max(1);
         self.obs.registry.add(self.obs.cycles.compute, latency);
         self.obs.profiler.record_stream(stats.rows, latency, 1);
-        Ok(BitVec::from_words(out, width))
     }
 
     /// Physical self-test of the active operation: evaluates the zero
@@ -640,7 +685,8 @@ impl PicogaSim {
     /// The `n + 1` vectors run 64 to a pass through the context's
     /// row-ordered tape — the datapath itself, never the tables compiled
     /// from it — and the configured matrix's columns come from the
-    /// configuration's own gate-order evaluation of the same lanes.
+    /// configuration's own gate-order evaluation of the same lanes,
+    /// which depends on the configuration alone and is kept with it.
     ///
     /// Charges one latency per evaluation: self-checking is not free.
     ///
@@ -651,15 +697,16 @@ impl PicogaSim {
     /// [`SimError::NoActiveContext`] / [`SimError::EmptySlot`].
     pub fn affine_probe(&mut self) -> Result<bool, SimError> {
         let (ctx, scratch) = self.active_parts()?;
-        let (net, tape) = (ctx.op.network(), &ctx.code.tape);
+        let (expected, tape) = (ctx.op.probe_responses(), &ctx.code.tape);
         let stats = ctx.op.stats();
-        let n = net.n_inputs();
-        let mut expected = Vec::new();
+        let (n, outputs) = (tape.n_inputs(), ctx.op.network().outputs().len());
         let mut ok = true;
-        tape.sweep(&mut scratch.values, |_, inputs, values| {
-            net.evaluate_lanes(inputs, &mut expected);
-            ok = (0..net.outputs().len())
-                .all(|o| tape.output(values, o) == net.output_lanes(&expected, o));
+        tape.sweep(&mut scratch.values, |lo, values| {
+            let want = &expected[lo / 64 * outputs..][..outputs];
+            ok = want
+                .iter()
+                .enumerate()
+                .all(|(o, &w)| tape.output(values, o) == w);
             ok
         });
         let latency = stats.latency.max(1);
@@ -714,6 +761,24 @@ impl PicogaSim {
         self.crc_stream(x_t, n, packed(bits, m))
     }
 
+    /// [`PicogaSim::run_crc_blocks`] for a state of at most 64 bits, held
+    /// in one word (bit `i` is state bit `i`): nothing is allocated.
+    ///
+    /// # Errors
+    ///
+    /// As [`PicogaSim::run_crc_blocks`]; [`SimError::WrongOpShape`] when
+    /// the state is wider than a word.
+    pub fn run_crc_blocks_word(
+        &mut self,
+        x_t: u64,
+        bits: &BitVec,
+        n: usize,
+    ) -> Result<u64, SimError> {
+        let m = self.crc_update_width()?;
+        check_packed(bits, n, m)?;
+        self.crc_stream_word(x_t, n, packed(bits, m))
+    }
+
     /// The block width M of the active CRC update operation.
     fn crc_update_width(&self) -> Result<usize, SimError> {
         let op = self.active_op()?;
@@ -738,26 +803,44 @@ impl PicogaSim {
         }
         let (ctx, scratch) = self.active_parts()?;
         let fb = ctx.op.feedback().expect("crc update has feedback");
-        let table = &ctx.code.data;
-        let mut state = state_words(x_t, fb.k);
-        if let [x] = state.as_mut_slice() {
-            let step = fb.word_step();
-            let mut s = *x;
-            for b in 0..n {
-                s = step(s, table.apply_word(|g| word(b, g)));
-            }
-            *x = s;
-        } else {
-            let p = &mut scratch.out;
-            p.resize(table.out_words(), 0);
-            for b in 0..n {
-                table.apply_with(|g| word(b, g), p);
-                fb.step_words(&mut state, p);
-            }
+        let k = fb.k;
+        if k <= 64 {
+            let s = self.crc_stream_word(x_t.word_at(0), n, word)?;
+            return Ok(BitVec::from_u64(s, k));
         }
-        let (k, stats) = (fb.k, ctx.op.stats());
+        let table = &ctx.code.data;
+        let mut state = state_words(x_t, k);
+        let p = &mut scratch.out;
+        p.resize(table.out_words(), 0);
+        for b in 0..n {
+            table.apply_with(|g| word(b, g), p);
+            fb.step_words(&mut state, p);
+        }
+        let stats = ctx.op.stats();
         self.charge_stream(stats, n as u64);
         Ok(BitVec::from_words(state, k))
+    }
+
+    /// [`PicogaSim::crc_stream`] for a state of at most 64 bits: the
+    /// feedback row is one word.
+    fn crc_stream_word(
+        &mut self,
+        x_t: u64,
+        n: usize,
+        word: impl Fn(usize, usize) -> u64,
+    ) -> Result<u64, SimError> {
+        let (ctx, _) = self.active_parts()?;
+        let fb = ctx.op.feedback().expect("crc update has feedback");
+        if fb.k > 64 {
+            return Err(ONE_WORD);
+        }
+        let mut s = x_t & (u64::MAX >> (64 - fb.k));
+        let (step, table, stats) = (fb.word_step(), &ctx.code.data, ctx.op.stats());
+        for b in 0..n {
+            s = step(s, table.apply_word(|g| word(b, g)));
+        }
+        self.charge_stream(stats, n as u64);
+        Ok(s)
     }
 
     /// Streams `blocks` through the active **dense look-ahead** update
@@ -808,6 +891,31 @@ impl PicogaSim {
         Ok(st)
     }
 
+    /// [`PicogaSim::run_crc_dense_blocks`] for a state of at most 64 bits,
+    /// held in one word (bit `i` is state bit `i`): nothing is allocated.
+    ///
+    /// # Errors
+    ///
+    /// As [`PicogaSim::run_crc_dense_blocks`]; [`SimError::WrongOpShape`]
+    /// when the state is wider than a word.
+    pub fn run_crc_dense_blocks_word(
+        &mut self,
+        state: u64,
+        bits: &BitVec,
+        n: usize,
+    ) -> Result<u64, SimError> {
+        let m = self.dense_block_width()?;
+        check_packed(bits, n, m)?;
+        let code = &self.active_parts()?.0.code;
+        if code.state.n_inputs() > 64 || code.out_words() > 1 {
+            return Err(ONE_WORD);
+        }
+        let s = dense_word_loop(code, state, n, packed(bits, m));
+        self.charge_dense(n);
+        self.record_dense(n);
+        Ok(s)
+    }
+
     /// The data block width M of the active dense update operation.
     fn dense_block_width(&self) -> Result<usize, SimError> {
         let op = self.active_op()?;
@@ -844,10 +952,7 @@ impl PicogaSim {
             let mut x = state.words().to_vec();
             x.resize(code.state.n_inputs().div_ceil(64).max(w), 0);
             if let [s] = x.as_mut_slice() {
-                for b in 0..n {
-                    let y = code.data.apply_word(|g| word(b, g));
-                    *s = y ^ code.state.apply_word(|_| *s);
-                }
+                *s = dense_word_loop(code, *s, n, word);
             } else {
                 let out = &mut scratch.out;
                 out.resize(w, 0);
@@ -861,11 +966,17 @@ impl PicogaSim {
             x.truncate(w);
             st = BitVec::from_words(x, width);
         }
-        let latency = ctx.op.stats().latency.max(1);
+        self.charge_dense(n);
+        st
+    }
+
+    /// Charges `n` dense blocks to the compute clock: the full latency
+    /// each.
+    fn charge_dense(&mut self, n: usize) {
+        let latency = self.active_op().expect("shape checked").stats().latency;
         self.obs
             .registry
-            .add(self.obs.cycles.compute, latency * n as u64);
-        st
+            .add(self.obs.cycles.compute, latency.max(1) * n as u64);
     }
 
     fn record_dense(&mut self, n: usize) {
@@ -1617,7 +1728,14 @@ mod tests {
             match op.kind_name() {
                 "linear" => {
                     let x = rng.bits(n_in);
-                    assert_eq!(sim.run_linear(&x).unwrap(), oracle(sim, &x));
+                    let want = oracle(sim, &x);
+                    assert_eq!(sim.run_linear(&x).unwrap(), want);
+                    let word = sim.run_linear_word(x.word_at(0));
+                    if n_in <= 64 {
+                        assert_eq!(word.unwrap(), want.to_u64());
+                    } else {
+                        assert_eq!(word, Err(ONE_WORD));
+                    }
                 }
                 "crc-update" => {
                     let fb = op.feedback().unwrap().clone();
@@ -1627,6 +1745,8 @@ mod tests {
                         .fold(x0.clone(), |x, b| fb.apply(&x, &oracle(sim, b)));
                     assert_eq!(sim.run_crc_stream(&x0, blocks.iter()).unwrap(), want);
                     assert_eq!(sim.run_crc_blocks(&x0, &bits, n).unwrap(), want);
+                    let word = sim.run_crc_blocks_word(x0.to_u64(), &bits, n);
+                    assert_eq!(word.unwrap(), want.to_u64());
                     let mut lanes: Vec<BitVec> = (0..3).map(|_| rng.bits(32)).collect();
                     let mut want = lanes.clone();
                     let items: Vec<(usize, &BitVec)> =
@@ -1644,6 +1764,8 @@ mod tests {
                         .fold(s0.clone(), |s, b| oracle(sim, &s.concat(b)));
                     assert_eq!(sim.run_crc_stream_dense(&s0, blocks.iter()).unwrap(), want);
                     assert_eq!(sim.run_crc_dense_blocks(&s0, &bits, n).unwrap(), want);
+                    let word = sim.run_crc_dense_blocks_word(s0.to_u64(), &bits, n);
+                    assert_eq!(word.unwrap(), want.to_u64());
                 }
                 _ => {
                     let fb = op.feedback().unwrap().clone();
@@ -1682,6 +1804,79 @@ mod tests {
                 forward > 10,
                 "flips reading later-placed gates were exercised"
             );
+        }
+
+        /// `affine_probe` against the uncached oracle after every write
+        /// in a random sequence: the configuration responses it caches
+        /// must follow wire and tap flips on a shared configuration
+        /// (the write copies it) and on a unique one (`Arc::make_mut`
+        /// writes in place), and stuck cells added and cleared.
+        #[test]
+        fn probe_responses_follow_every_configuration_write() {
+            let mut rng = Rng(0xC0FF_EE15_D00D);
+            for m in [8, 32, 128] {
+                for op in ops(&mut rng, m) {
+                    let net = op.network();
+                    for shared_at_first in [true, false] {
+                        let mut sim = PicogaSim::new(roomy());
+                        sim.load_context(0, op.clone()).unwrap();
+                        sim.switch_to(0).unwrap();
+                        if !shared_at_first {
+                            // A write that changes nothing still copies.
+                            let keep = net.gates()[0].inputs[0];
+                            sim.inject(&wire_flip(0, 0, keep)).unwrap();
+                        }
+                        let mut shared = shared_at_first;
+                        for step in 0..8 {
+                            let what = format!("{} m{m} shared {shared} step {step}", op.name());
+                            assert_eq!(sim.affine_probe().unwrap(), oracle_probe(&sim), "{what}");
+                            let resident = sim.context(0).unwrap();
+                            assert_eq!(resident.shares_config(&op), shared, "{what}");
+                            let addr = resident.config_addr();
+                            let fault = match rng.below(4) {
+                                0 => {
+                                    let gate = rng.below(net.gate_count());
+                                    let pin = rng.below(net.gates()[gate].inputs.len());
+                                    wire_flip(gate, pin, rng.below(net.n_inputs() + gate))
+                                }
+                                1 => ConfigFault::TapFlip {
+                                    slot: 0,
+                                    output: rng.below(net.outputs().len()),
+                                    new_tap: Some(rng.below(net.n_signals())),
+                                },
+                                2 => {
+                                    let row = rng.below(op.placement().row_count());
+                                    ConfigFault::StuckCell {
+                                        row,
+                                        cell: rng.below(op.placement().rows()[row].len()),
+                                        value: rng.below(2) == 0,
+                                    }
+                                }
+                                _ => {
+                                    sim.clear_stuck_cells();
+                                    continue;
+                                }
+                            };
+                            sim.inject(&fault).unwrap();
+                            if !matches!(fault, ConfigFault::StuckCell { .. }) {
+                                let moved = sim.context(0).unwrap().config_addr() != addr;
+                                assert_eq!(moved, shared, "copied iff shared: {what}");
+                                shared = false;
+                            }
+                        }
+                        assert_eq!(sim.affine_probe().unwrap(), oracle_probe(&sim));
+                    }
+                }
+            }
+        }
+
+        fn wire_flip(gate: usize, pin: usize, new_signal: usize) -> ConfigFault {
+            ConfigFault::WireFlip {
+                slot: 0,
+                gate,
+                pin,
+                new_signal,
+            }
         }
 
         #[test]

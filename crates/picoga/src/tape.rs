@@ -8,7 +8,9 @@
 //! the zero vector and every basis vector twice: once at compile, where
 //! the responses become the context's byte tables (`compiled.rs`), and
 //! again at probe time, where `PicogaSim::affine_probe` judges the
-//! datapath.
+//! datapath against the configuration's own gate-order responses to the
+//! same vectors (computed once per configuration, see
+//! `PgaOperation::probe_responses`).
 //!
 //! Row order is part of the semantics, not an optimisation. A pristine
 //! placement is topological, but a wire flip may make a gate read a gate
@@ -133,30 +135,36 @@ impl Tape {
     }
 
     /// Runs the zero vector and every basis vector through the tape, 64
-    /// to a pass: lane `j` of the pass starting at `lo` carries vector
-    /// `lo + j`, where vector 0 is the zero vector and vector `i + 1` is
-    /// `e_i`. `visit(lo, inputs, values)` sees each pass's input lanes
-    /// and signal words; the sweep stops early when it returns `false`.
+    /// to a pass (see [`probe_inputs`]). `visit(lo, values)` sees the
+    /// signal words of the pass starting at vector `lo`; the sweep stops
+    /// early when it returns `false`.
     pub(crate) fn sweep(
         &self,
         values: &mut Vec<u64>,
-        mut visit: impl FnMut(usize, &[u64], &[u64]) -> bool,
+        mut visit: impl FnMut(usize, &[u64]) -> bool,
     ) {
         let n = self.n_inputs;
         self.prepare(values);
         for lo in (0..=n).step_by(64) {
-            for (i, w) in values[..n].iter_mut().enumerate() {
-                *w = if (lo..lo + 64).contains(&(i + 1)) {
-                    1 << (i + 1 - lo)
-                } else {
-                    0
-                };
-            }
+            probe_inputs(lo, &mut values[..n]);
             self.run(values);
-            if !visit(lo, &values[..n], &values[..]) {
+            if !visit(lo, values) {
                 break;
             }
         }
+    }
+}
+
+/// The input lanes of the sweep's pass starting at vector `lo`: lane `j`
+/// carries vector `lo + j`, where vector 0 is the zero vector and vector
+/// `i + 1` is `e_i`.
+pub(crate) fn probe_inputs(lo: usize, inputs: &mut [u64]) {
+    for (i, w) in inputs.iter_mut().enumerate() {
+        *w = if (lo..lo + 64).contains(&(i + 1)) {
+            1 << (i + 1 - lo)
+        } else {
+            0
+        };
     }
 }
 

@@ -443,12 +443,17 @@ impl ResilientSystem {
         let mut dmr_mismatch = false;
 
         let mut software = self.sys.health(name) == Health::Fallback;
-        let shadow = shadow_name(name);
+        // The shadow lane's name is only needed, and only made, under DMR.
+        let shadow = if self.policy.dmr && !software {
+            Some(shadow_name(name)).filter(|s| self.flows.contains_key(s))
+        } else {
+            None
+        };
         let crc = if software {
             let (v, rep) = self.sys.checksum_software(name, data)?;
             soft_cycles += non_fabric(&rep);
             v
-        } else if self.policy.dmr && self.flows.contains_key(&shadow) {
+        } else if let Some(shadow) = shadow {
             let (a, ra) = self.sys.checksum(name, data)?;
             soft_cycles += non_fabric(&ra);
             let (b, rb) = if self.sys.health(&shadow) == Health::Fallback {
@@ -510,13 +515,12 @@ impl ResilientSystem {
             .into_iter()
             .map(|f| f.personality)
             .collect();
-        let hosted = self.order.clone();
-        for name in hosted {
-            if self.sys.health(&name) == Health::Fallback {
+        for name in &self.order {
+            if self.sys.health(name) == Health::Fallback {
                 continue;
             }
-            if !self.sys.probe(&name, self.policy.probe_blocks.max(1))? {
-                flagged.push(name);
+            if !self.sys.probe(name, self.policy.probe_blocks.max(1))? {
+                flagged.push(name.clone());
             }
         }
         flagged.dedup();

@@ -19,8 +19,9 @@
 
 use crate::session::{Priority, StreamKind};
 use gf2::BitVec;
-use lfsr::crc::{crc_bitwise, CrcSpec};
+use lfsr::crc::{CrcSpec, SlicingCrc};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Envelope magic: "PiCoGA STream Checkpoint".
 pub const MAGIC: [u8; 4] = *b"PSTC";
@@ -168,9 +169,15 @@ impl CheckpointError {
     }
 }
 
+/// The envelope's CRC-32/ETHERNET, on a slicing-by-8 kernel whose 16 KiB
+/// of tables are built once per process and shared by every service.
 fn envelope_crc(bytes: &[u8]) -> u64 {
-    let spec = CrcSpec::by_name("CRC-32/ETHERNET").expect("catalogue entry");
-    crc_bitwise(spec, bytes)
+    static KERNEL: OnceLock<SlicingCrc> = OnceLock::new();
+    KERNEL
+        .get_or_init(|| {
+            SlicingCrc::new(CrcSpec::crc32_ethernet(), 8).expect("CRC-32/ETHERNET is reflected")
+        })
+        .checksum_of(bytes)
 }
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -181,9 +188,12 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+/// The length, then [`BitVec::to_le_bytes`] read straight off the words
+/// (the bits past the length are zero).
 fn put_bits(out: &mut Vec<u8>, bits: &BitVec) {
     put_u32(out, u32::try_from(bits.len()).expect("bit length fits u32"));
-    out.extend_from_slice(&bits.to_le_bytes());
+    let bytes = bits.words().iter().flat_map(|w| w.to_le_bytes());
+    out.extend(bytes.take(bits.len().div_ceil(8)));
 }
 
 /// Sequential little-endian reader over the payload.
@@ -228,55 +238,85 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// A snapshot's fields, borrowed: what [`StreamCheckpoint::encode`]
+/// writes, so a live session is serialized without being copied first.
+pub(crate) struct CheckpointRef<'a> {
+    pub(crate) name: &'a str,
+    pub(crate) kind: StreamKind,
+    pub(crate) priority: Priority,
+    pub(crate) deadline: u64,
+    pub(crate) plain_domain: bool,
+    pub(crate) t_digest: u64,
+    pub(crate) state: &'a BitVec,
+    pub(crate) staged: &'a BitVec,
+    pub(crate) out_pending: &'a BitVec,
+    /// The queued chunks, oldest first, in two runs (as a `VecDeque`
+    /// holds them).
+    pub(crate) queued: [&'a [Vec<u8>]; 2],
+    pub(crate) bytes_fed: u64,
+}
+
 impl StreamCheckpoint {
     /// Serializes the snapshot into the guarded envelope.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        CheckpointRef {
+            name: &self.name,
+            kind: self.kind,
+            priority: self.priority,
+            deadline: self.deadline,
+            plain_domain: self.plain_domain,
+            t_digest: self.t_digest,
+            state: &self.state,
+            staged: &self.staged,
+            out_pending: &self.out_pending,
+            queued: [&self.queued, &[]],
+            bytes_fed: self.bytes_fed,
+        }
+        .encode()
+    }
+}
+
+impl CheckpointRef<'_> {
+    /// See [`StreamCheckpoint::encode`].
+    pub(crate) fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(64 + self.name.len());
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
-        let mut payload = Vec::new();
-        payload.push(match self.kind {
+        // The payload length, patched in once the payload is written.
+        put_u32(&mut out, 0);
+        out.push(match self.kind {
             StreamKind::Crc => 0u8,
             StreamKind::Scrambler => 1u8,
         });
-        payload.push(match self.priority {
+        out.push(match self.priority {
             Priority::Low => 0u8,
             Priority::High => 1u8,
         });
-        payload.push(u8::from(self.plain_domain));
-        put_u32(
-            &mut payload,
-            u32::try_from(self.name.len()).expect("name fits"),
-        );
-        payload.extend_from_slice(self.name.as_bytes());
-        put_u64(&mut payload, self.t_digest);
-        put_u64(&mut payload, self.deadline);
-        put_u64(&mut payload, self.bytes_fed);
-        put_bits(&mut payload, &self.state);
-        put_bits(&mut payload, &self.staged);
-        put_bits(&mut payload, &self.out_pending);
-        put_u32(
-            &mut payload,
-            u32::try_from(self.queued.len()).expect("queue fits"),
-        );
-        for chunk in &self.queued {
-            put_u32(
-                &mut payload,
-                u32::try_from(chunk.len()).expect("chunk fits"),
-            );
-            payload.extend_from_slice(chunk);
+        out.push(u8::from(self.plain_domain));
+        put_u32(&mut out, u32::try_from(self.name.len()).expect("name fits"));
+        out.extend_from_slice(self.name.as_bytes());
+        put_u64(&mut out, self.t_digest);
+        put_u64(&mut out, self.deadline);
+        put_u64(&mut out, self.bytes_fed);
+        put_bits(&mut out, self.state);
+        put_bits(&mut out, self.staged);
+        put_bits(&mut out, self.out_pending);
+        let queued = self.queued[0].len() + self.queued[1].len();
+        put_u32(&mut out, u32::try_from(queued).expect("queue fits"));
+        for chunk in self.queued.iter().copied().flatten() {
+            put_u32(&mut out, u32::try_from(chunk.len()).expect("chunk fits"));
+            out.extend_from_slice(chunk);
         }
-        put_u32(
-            &mut out,
-            u32::try_from(payload.len()).expect("payload fits"),
-        );
-        out.extend_from_slice(&payload);
+        let payload_len = u32::try_from(out.len() - 10).expect("payload fits");
+        out[6..10].copy_from_slice(&payload_len.to_le_bytes());
         let crc = envelope_crc(&out);
         out.extend_from_slice(&u32::try_from(crc).expect("32-bit CRC").to_le_bytes());
         out
     }
+}
 
+impl StreamCheckpoint {
     /// Validates the envelope and decodes the snapshot.
     ///
     /// # Errors
@@ -392,6 +432,19 @@ mod tests {
     fn encode_decode_round_trips() {
         let cp = sample();
         assert_eq!(StreamCheckpoint::decode(&cp.encode()).unwrap(), cp);
+    }
+
+    #[test]
+    fn envelope_crc_matches_the_bit_serial_reference() {
+        let spec = CrcSpec::crc32_ethernet();
+        let data: Vec<u8> = (0..300u32).map(|i| (i * 151 + 7) as u8).collect();
+        for len in [0, 1, 7, 8, 9, 63, 64, 100, 300] {
+            assert_eq!(
+                envelope_crc(&data[..len]),
+                lfsr::crc::crc_bitwise(spec, &data[..len]),
+                "len {len}"
+            );
+        }
     }
 
     #[test]

@@ -22,7 +22,9 @@
 //! is what makes the storm campaign's digest-mismatch count stay zero.
 
 use crate::admission::{AdmissionConfig, OverloadLevel, ServiceCounters, TokenBucket};
-use crate::checkpoint::{CheckpointError, RestoreDisposition, StreamCheckpoint, NO_TRANSFORM};
+use crate::checkpoint::{
+    CheckpointError, CheckpointRef, RestoreDisposition, StreamCheckpoint, NO_TRANSFORM,
+};
 use crate::pump::{BatchScheduler, EdfScheduler, PumpCandidate};
 use crate::session::{Domain, Priority, StreamKind, StreamSession};
 use dream::{Health, SystemError};
@@ -964,8 +966,9 @@ impl StreamService {
             .ok_or(ServiceError::UnknownStream(id))?;
         let hosted = self.hosted.get(&session.name).expect("session is hosted");
         let plain_domain = session.domain == Domain::Software;
-        let cp = StreamCheckpoint {
-            name: session.name.clone(),
+        let (front, back) = session.queue.as_slices();
+        let bytes = CheckpointRef {
+            name: &session.name,
             kind: session.kind,
             priority: session.priority,
             deadline: session.deadline,
@@ -975,14 +978,15 @@ impl StreamService {
             } else {
                 hosted.t_digest
             },
-            state: session.state.clone(),
-            staged: session.staged.clone(),
-            out_pending: session.out_pending.clone(),
-            queued: session.queue.iter().cloned().collect(),
+            state: &session.state,
+            staged: &session.staged,
+            out_pending: &session.out_pending,
+            queued: [front, back],
             bytes_fed: session.bytes_fed,
-        };
+        }
+        .encode();
         self.bump(self.ids.checkpoints);
-        Ok(cp.encode())
+        Ok(bytes)
     }
 
     /// Progress marker of a live stream: how many payload bytes a
@@ -1092,9 +1096,8 @@ impl StreamService {
         let bytes = self
             .parked
             .get(&id)
-            .cloned()
             .ok_or(ServiceError::UnknownParked(id))?;
-        let cp = StreamCheckpoint::decode(&bytes)?;
+        let cp = StreamCheckpoint::decode(bytes)?;
         self.rehydrate(cp, id)?;
         self.parked.remove(&id);
         self.bump(self.ids.resumed);
@@ -1216,10 +1219,10 @@ impl StreamService {
         // Group by personality, preserving first-appearance order.
         let mut groups: Vec<(String, BatchItems)> = Vec::new();
         for (id, chunk) in batch {
-            let name = self.sessions.get(&id).expect("still live").name.clone();
-            match groups.iter_mut().find(|(n, _)| *n == name) {
+            let name = &self.sessions.get(&id).expect("still live").name;
+            match groups.iter_mut().find(|(n, _)| n == name) {
                 Some((_, items)) => items.push((id, chunk)),
-                None => groups.push((name, vec![(id, chunk)])),
+                None => groups.push((name.clone(), vec![(id, chunk)])),
             }
         }
         for (name, items) in groups {
@@ -1368,82 +1371,188 @@ impl StreamService {
     }
 
     /// Advances one session by one chunk. Returns whether the fabric
-    /// was used (and therefore whether the batch needs a guard).
+    /// was used (and therefore whether the batch needs a guard). A feed
+    /// that fails leaves the session as it was.
     fn process_chunk(&mut self, id: u64, chunk: &[u8]) -> Result<bool, ServiceError> {
-        let (name, kind, mut domain) = {
-            let s = self
-                .sessions
-                .get(&id)
-                .ok_or(ServiceError::UnknownStream(id))?;
-            (s.name.clone(), s.kind, s.domain)
-        };
+        let s = self
+            .sessions
+            .get(&id)
+            .ok_or(ServiceError::UnknownStream(id))?;
         // A lane retired to software fallback must not be fed on the
         // fabric; late sessions migrate the moment they are pumped.
-        if domain == Domain::Fabric && self.rs.system().health(&name) == Health::Fallback {
+        if s.domain == Domain::Fabric && self.rs.system().health(&s.name) == Health::Fallback {
             self.degrade(id)?;
             self.bump(self.ids.migrated_to_software);
-            domain = Domain::Software;
         }
-        let m = self.hosted.get(&name).expect("session is hosted").m;
-        let (state, staged) = {
-            let s = self.sessions.get(&id).expect("checked above");
-            (s.state.clone(), s.staged.clone())
-        };
-        let incoming = match kind {
+        let StreamService {
+            rs,
+            sessions,
+            hosted,
+            soft,
+            ..
+        } = self;
+        let s = sessions.get_mut(&id).expect("checked above");
+        let h = hosted.get(&s.name).expect("session is hosted");
+        let incoming = match s.kind {
             StreamKind::Crc => {
-                let spec = self.crc_spec_of(&name)?;
+                let spec = h
+                    .crc_spec
+                    .ok_or_else(|| ServiceError::UnknownPersonality(s.name.clone()))?;
                 message_bits(&spec, chunk)
             }
             StreamKind::Scrambler => BitVec::from_le_bytes(chunk, chunk.len() * 8),
         };
 
-        let (new_state, new_staged, emitted, used_fabric) = match domain {
+        let used_fabric = match s.domain {
             Domain::Fabric => {
-                let all = staged.concat(&incoming);
+                let m = h.m;
+                let all = if s.staged.is_empty() {
+                    incoming
+                } else {
+                    s.staged.concat(&incoming)
+                };
                 let full = all.len() / m * m;
-                let blocks = all.slice(0, full);
-                let rest = all.slice(full, all.len() - full);
-                match kind {
-                    StreamKind::Crc => {
-                        let ns = if full > 0 {
-                            self.rs
-                                .system_mut()
-                                .crc_stream_feed(&name, &state, &blocks)?
-                        } else {
-                            state
-                        };
-                        (ns, rest, BitVec::zeros(0), full > 0)
-                    }
-                    StreamKind::Scrambler => {
-                        let (out, ns) = if full > 0 {
-                            self.rs
-                                .system_mut()
-                                .scramble_stream_feed(&name, &state, &blocks)?
-                        } else {
-                            (BitVec::zeros(0), state)
-                        };
-                        (ns, rest, out, full > 0)
+                let (blocks, rest) = if full == 0 {
+                    (BitVec::zeros(0), all)
+                } else if full == all.len() {
+                    (all, BitVec::zeros(0))
+                } else {
+                    (all.slice(0, full), all.slice(full, all.len() - full))
+                };
+                if full > 0 {
+                    let sys = rs.system_mut();
+                    match s.kind {
+                        StreamKind::Crc => {
+                            s.state = sys.crc_stream_feed(&s.name, &s.state, &blocks)?;
+                        }
+                        StreamKind::Scrambler => {
+                            let (out, ns) = sys.scramble_stream_feed(&s.name, &s.state, &blocks)?;
+                            s.state = ns;
+                            s.out_pending = s.out_pending.concat(&out);
+                        }
                     }
                 }
+                s.staged = rest;
+                full > 0
             }
             Domain::Software => {
-                let engine = self.soft.get_mut(&name).expect("hosted implies kernel");
-                engine.set_state(state);
-                let out = match kind {
-                    StreamKind::Crc => {
-                        engine.absorb(&incoming);
-                        BitVec::zeros(0)
+                let engine = soft.get_mut(&s.name).expect("hosted implies kernel");
+                engine.set_state(std::mem::take(&mut s.state));
+                match s.kind {
+                    StreamKind::Crc => engine.absorb(&incoming),
+                    StreamKind::Scrambler => {
+                        let out = engine.transduce(&incoming);
+                        s.out_pending = s.out_pending.concat(&out);
                     }
-                    StreamKind::Scrambler => engine.transduce(&incoming),
-                };
-                (engine.state().clone(), BitVec::zeros(0), out, false)
+                }
+                s.state = engine.state().clone();
+                false
             }
         };
-        let s = self.sessions.get_mut(&id).expect("checked above");
-        s.state = new_state;
-        s.staged = new_staged;
-        s.out_pending = s.out_pending.concat(&emitted);
         s.bytes_fed += chunk.len() as u64;
         Ok(used_fabric)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dream::ControlModel;
+    use picoga::PicogaParams;
+    use resilience::RecoveryPolicy;
+
+    fn service() -> StreamService {
+        let rs = ResilientSystem::new(
+            PicogaParams::dream(),
+            ControlModel::default(),
+            RecoveryPolicy::stream_serving(),
+        );
+        StreamService::new(rs, AdmissionConfig::default())
+    }
+
+    #[test]
+    fn a_live_checkpoint_encodes_as_its_owned_snapshot() {
+        let mut svc = service();
+        svc.host_crc(
+            "eth",
+            CrcSpec::crc32_ethernet(),
+            FlowOptions::dream_with_m(32),
+        )
+        .unwrap();
+        let id = svc.open_crc("eth", Priority::Low, 8).unwrap();
+        svc.process_chunk(id, b"abcde").unwrap();
+        // A queue whose chunks wrap around its ring.
+        let s = svc.sessions.get_mut(&id).unwrap();
+        s.queue = VecDeque::with_capacity(4);
+        for chunk in [&b"x"[..], b"yy", b"zzz"] {
+            s.queue.push_back(chunk.to_vec());
+        }
+        s.queue.pop_front();
+        s.queue.pop_front();
+        for chunk in [&b"1"[..], b"22", b"333"] {
+            s.queue.push_back(chunk.to_vec());
+        }
+        assert!(!s.queue.as_slices().1.is_empty(), "the ring wraps");
+        let s = &svc.sessions[&id];
+        let owned = StreamCheckpoint {
+            name: s.name.clone(),
+            kind: s.kind,
+            priority: s.priority,
+            deadline: s.deadline,
+            plain_domain: false,
+            t_digest: svc.hosted["eth"].t_digest,
+            state: s.state.clone(),
+            staged: s.staged.clone(),
+            out_pending: s.out_pending.clone(),
+            queued: s.queue.iter().cloned().collect(),
+            bytes_fed: s.bytes_fed,
+        };
+        assert_eq!(svc.checkpoint(id).unwrap(), owned.encode());
+    }
+
+    #[test]
+    fn a_failed_fabric_feed_leaves_the_session_untouched() {
+        let mut svc = service();
+        svc.host_crc(
+            "eth",
+            CrcSpec::crc32_ethernet(),
+            FlowOptions::dream_with_m(32),
+        )
+        .unwrap();
+        svc.host_scrambler(
+            "wifi",
+            ScramblerSpec::ieee80211(),
+            &FlowOptions::dream_with_m(16),
+        )
+        .unwrap();
+        let crc = svc.open_crc("eth", Priority::High, 8).unwrap();
+        let scr = svc.open_scrambler("wifi", 0x55, Priority::High, 8).unwrap();
+        for id in [crc, scr] {
+            // One byte stays staged, short of a block.
+            assert!(!svc.process_chunk(id, &[0xA5]).unwrap());
+            let s = svc.sessions.get_mut(&id).unwrap();
+            assert_eq!(s.staged.len(), 8);
+            // A state one bit too wide makes the next fabric feed fail.
+            s.state = s.state.resized(s.state.len() + 1);
+            s.out_pending = BitVec::from_u64(0b101, 3);
+            let snap = |s: &StreamSession| {
+                (
+                    s.state.clone(),
+                    s.staged.clone(),
+                    s.out_pending.clone(),
+                    s.bytes_fed,
+                )
+            };
+            let before = snap(s);
+            let err = svc.process_chunk(id, &[1, 2, 3, 4, 5]).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    ServiceError::System(SystemError::StateWidthMismatch { .. })
+                ),
+                "{err}"
+            );
+            assert_eq!(snap(&svc.sessions[&id]), before);
+        }
     }
 }

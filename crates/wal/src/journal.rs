@@ -60,6 +60,8 @@ pub struct Journal {
     hasher: Box<dyn FrameHasher>,
     next_seq: u64,
     stats: JournalStats,
+    /// The frame `append` builds, kept for its storage.
+    frame: Vec<u8>,
 }
 
 impl std::fmt::Debug for Journal {
@@ -180,6 +182,7 @@ impl Journal {
             hasher,
             next_seq: 1,
             stats: JournalStats::default(),
+            frame: Vec::new(),
         }
     }
 
@@ -204,6 +207,7 @@ impl Journal {
                 hasher,
                 next_seq,
                 stats: JournalStats::default(),
+                frame: Vec::new(),
             },
             replay,
         )
@@ -212,19 +216,20 @@ impl Journal {
     /// Appends one record as a framed, CRC'd write. Durable only after
     /// [`flush`](Self::flush).
     pub fn append(&mut self, rec: &Record) {
-        let payload = rec.encode();
-        let len = u32::try_from(payload.len()).expect("payload fits u32");
+        // The frame is built in place: the length is patched in once the
+        // payload is written, and the CRC covers everything after it.
+        let frame = &mut self.frame;
+        frame.clear();
+        frame.extend_from_slice(&[0; 4]);
+        frame.push(WIRE_VERSION);
+        frame.extend_from_slice(&self.next_seq.to_le_bytes());
+        rec.encode_into(frame);
+        let len = u32::try_from(frame.len() - FRAME_HEADER).expect("payload fits u32");
         assert!(len <= MAX_PAYLOAD, "record payload exceeds MAX_PAYLOAD");
-        let mut body = Vec::with_capacity(1 + 8 + payload.len());
-        body.push(WIRE_VERSION);
-        body.extend_from_slice(&self.next_seq.to_le_bytes());
-        body.extend_from_slice(&payload);
-        let crc = self.hasher.crc32(&body);
-        let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len() + FRAME_TRAILER);
-        frame.extend_from_slice(&len.to_le_bytes());
-        frame.extend_from_slice(&body);
+        frame[..4].copy_from_slice(&len.to_le_bytes());
+        let crc = self.hasher.crc32(&frame[4..]);
         frame.extend_from_slice(&crc.to_le_bytes());
-        self.backend.append(&frame);
+        self.backend.append(frame);
         self.next_seq += 1;
         self.stats.frames += 1;
         self.stats.bytes += frame.len() as u64;

@@ -354,10 +354,16 @@ impl Record {
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(32);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends [`Record::encode`]'s payload to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Record::Clock { now } => {
                 out.push(TAG_CLOCK);
-                put_u64(&mut out, *now);
+                put_u64(out, *now);
             }
             Record::HostCrc {
                 shard,
@@ -366,9 +372,9 @@ impl Record {
                 m,
             } => {
                 out.push(TAG_HOST_CRC);
-                put_opt_u32(&mut out, *shard);
-                put_str(&mut out, name);
-                put_str(&mut out, spec);
+                put_opt_u32(out, *shard);
+                put_str(out, name);
+                put_str(out, spec);
                 out.push(*m);
             }
             Record::HostScrambler {
@@ -378,9 +384,9 @@ impl Record {
                 m,
             } => {
                 out.push(TAG_HOST_SCRAMBLER);
-                put_opt_u32(&mut out, *shard);
-                put_str(&mut out, name);
-                put_str(&mut out, spec);
+                put_opt_u32(out, *shard);
+                put_str(out, name);
+                put_str(out, spec);
                 out.push(*m);
             }
             Record::Open {
@@ -389,18 +395,18 @@ impl Record {
                 personality,
             } => {
                 out.push(TAG_OPEN);
-                put_u64(&mut out, *id);
-                put_u32(&mut out, *shard);
-                put_str(&mut out, personality);
+                put_u64(out, *id);
+                put_u32(out, *shard);
+                put_str(out, personality);
             }
             Record::FeedWatermark { id, bytes_fed } => {
                 out.push(TAG_FEED_WATERMARK);
-                put_u64(&mut out, *id);
-                put_u64(&mut out, *bytes_fed);
+                put_u64(out, *id);
+                put_u64(out, *bytes_fed);
             }
             Record::Finish { id } => {
                 out.push(TAG_FINISH);
-                put_u64(&mut out, *id);
+                put_u64(out, *id);
             }
             Record::CheckpointAnchor {
                 id,
@@ -410,11 +416,11 @@ impl Record {
                 bytes,
             } => {
                 out.push(TAG_CHECKPOINT_ANCHOR);
-                put_u64(&mut out, *id);
-                put_u32(&mut out, *shard);
-                put_u64(&mut out, *resume_from);
-                put_u64(&mut out, *delivered_bits);
-                put_bytes(&mut out, bytes);
+                put_u64(out, *id);
+                put_u32(out, *shard);
+                put_u64(out, *resume_from);
+                put_u64(out, *delivered_bits);
+                put_bytes(out, bytes);
             }
             Record::MigrateBegin {
                 token,
@@ -423,64 +429,63 @@ impl Record {
                 to,
             } => {
                 out.push(TAG_MIGRATE_BEGIN);
-                put_u64(&mut out, *token);
-                put_u64(&mut out, *id);
-                put_u32(&mut out, *from);
-                put_u32(&mut out, *to);
+                put_u64(out, *token);
+                put_u64(out, *id);
+                put_u32(out, *from);
+                put_u32(out, *to);
             }
             Record::Migrated { id, from, to } => {
                 out.push(TAG_MIGRATED);
-                put_u64(&mut out, *id);
-                put_u32(&mut out, *from);
-                put_u32(&mut out, *to);
+                put_u64(out, *id);
+                put_u32(out, *from);
+                put_u32(out, *to);
             }
             Record::MigrateAbort { token, id } => {
                 out.push(TAG_MIGRATE_ABORT);
-                put_u64(&mut out, *token);
-                put_u64(&mut out, *id);
+                put_u64(out, *token);
+                put_u64(out, *id);
             }
             Record::TokenApplied { token, id } => {
                 out.push(TAG_TOKEN_APPLIED);
-                put_u64(&mut out, *token);
-                put_u64(&mut out, *id);
+                put_u64(out, *token);
+                put_u64(out, *id);
             }
             Record::Drain { shard } => {
                 out.push(TAG_DRAIN);
-                put_u32(&mut out, *shard);
+                put_u32(out, *shard);
             }
             Record::ShardDown { shard, reason } => {
                 out.push(TAG_SHARD_DOWN);
-                put_u32(&mut out, *shard);
+                put_u32(out, *shard);
                 out.push(*reason);
             }
             Record::Reopen { shard } => {
                 out.push(TAG_REOPEN);
-                put_u32(&mut out, *shard);
+                put_u32(out, *shard);
             }
             Record::Breaker { shard, rank, count } => {
                 out.push(TAG_BREAKER);
-                put_u32(&mut out, *shard);
+                put_u32(out, *shard);
                 out.push(*rank);
-                put_u32(&mut out, *count);
+                put_u32(out, *count);
             }
             Record::UpgradeStage { stage } => {
                 out.push(TAG_UPGRADE_STAGE);
-                put_str(&mut out, stage);
+                put_str(out, stage);
             }
             Record::Lost { id, shard, reason } => {
                 out.push(TAG_LOST);
-                put_u64(&mut out, *id);
-                put_u32(&mut out, *shard);
+                put_u64(out, *id);
+                put_u32(out, *shard);
                 out.push(*reason);
             }
             Record::Failover { id, from, to } => {
                 out.push(TAG_FAILOVER);
-                put_u64(&mut out, *id);
-                put_u32(&mut out, *from);
-                put_u32(&mut out, *to);
+                put_u64(out, *id);
+                put_u32(out, *from);
+                put_u32(out, *to);
             }
         }
-        out
     }
 
     /// Decodes one version-1 payload.
