@@ -17,12 +17,15 @@ use xornet::XorNetwork;
 
 /// (catalogue name, M). CRC-16/DECT-R and CRC-64/XZ have no Derby
 /// transform and take the dense lane; the rest are Derby lanes. (CRC-64/XZ
-/// needs more than the fabric's 24 rows above M = 32.)
-const LANES: [(&str, usize); 9] = [
+/// needs more than the fabric's 24 rows above M = 32.) CRC-5/USB at M = 8
+/// has fewer state bits than a 64-bit word has blocks.
+const LANES: [(&str, usize); 11] = [
     ("CRC-32/ETHERNET", 8),
+    ("CRC-32/ETHERNET", 16),
     ("CRC-32/ETHERNET", 32),
     ("CRC-32/ETHERNET", 128),
     ("CRC-16/IBM-SDLC", 32),
+    ("CRC-5/USB", 8),
     ("CRC-16/DECT-R", 8),
     ("CRC-16/DECT-R", 32),
     ("CRC-16/DECT-R", 128),
@@ -114,6 +117,53 @@ fn long_messages_at_m128_match_bitwise_with_tails() {
                 assert!(report.tail_cycles > 0, "{} B leaves a tail", data.len());
             }
             assert_eq!(sys.checksum_software(name, &data).unwrap().0, want);
+        }
+    }
+}
+
+/// Messages long enough to take a lane's packed stream past the point
+/// where its compile builds a word table (2,304 blocks at these M), and
+/// messages after it: the word path, and the blocks and byte-wise tails
+/// around it, against `crc_bitwise` — through `DreamSystem::checksum`,
+/// the chunked stream entry points and `DreamCrcApp::checksum`.
+#[test]
+fn long_messages_cross_the_word_table_build_point() {
+    let lanes = [
+        ("CRC-32/ETHERNET", 8),
+        ("CRC-32/ETHERNET", 16),
+        ("CRC-32/ETHERNET", 32),
+        ("CRC-5/USB", 8),
+        ("CRC-16/IBM-SDLC", 32),
+    ];
+    let mut rng = Rng(0x0B01_1D07);
+    for (i, &(name, m)) in lanes.iter().enumerate() {
+        let mut sys = DreamSystem::new(PicogaParams::dream(), ControlModel::default());
+        let p = build_personality(lane_name(i), spec(name), &FlowOptions::dream_with_m(m))
+            .expect("catalogue lane builds");
+        assert!(p.derby.is_some(), "{name} at M={m} is a Derby lane");
+        sys.register(p).unwrap();
+        let (mut app, _) = build_crc_app(spec(name), &FlowOptions::dream_with_m(m)).unwrap();
+        // The first message is 1,000 blocks short of the build point: its
+        // checksum runs block by block and its stream feed crosses the
+        // point. Then a longer message, and lengths around one 64-bit
+        // word of blocks.
+        let before = 2304 * m / 8 - 1000 * m / 8;
+        for len in [before, 3000 * m / 8 + 3, 1, 7, 8, 9, 63, 64, 65, 1500, 1503] {
+            let data = rng.bytes(len);
+            let want = crc_bitwise(spec(name), &data);
+            let (got, _) = sys.checksum(&lane_name(i), &data).unwrap();
+            assert_eq!(got, want, "{name} at M={m}, {len} B");
+            assert_eq!(app.checksum(&data).0, want, "{name} at M={m}, {len} B, app");
+
+            let bits = message_bits(spec(name), &data);
+            let whole = bits.len() / m * m;
+            let x0 = sys.crc_stream_begin(&lane_name(i)).unwrap();
+            let x = sys
+                .crc_stream_feed(&lane_name(i), &x0, &bits.slice(0, whole))
+                .unwrap();
+            let residual = bits.slice(whole, bits.len() - whole);
+            let (streamed, _) = sys.crc_stream_finish(&lane_name(i), &x, &residual).unwrap();
+            assert_eq!(streamed, want, "{name} at M={m}, {len} B, streamed");
         }
     }
 }

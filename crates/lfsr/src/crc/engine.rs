@@ -73,20 +73,24 @@ pub fn message_bits(spec: &CrcSpec, data: &[u8]) -> BitVec {
 
 /// [`message_bits`] into `out`, reusing its storage.
 pub fn message_bits_into(spec: &CrcSpec, data: &[u8], out: &mut BitVec) {
-    let refin = spec.refin;
-    let words = data.chunks(8).map(|c| {
+    let chunks = data.chunks_exact(8);
+    let rest = chunks.remainder();
+    let last = (!rest.is_empty()).then(|| {
         let mut w = [0u8; 8];
-        w[..c.len()].copy_from_slice(c);
-        let w = u64::from_le_bytes(w);
+        w[..rest.len()].copy_from_slice(rest);
+        u64::from_le_bytes(w)
+    });
+    let words = chunks
+        .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+        .chain(last);
+    let len = data.len() * 8;
+    if spec.refin {
+        out.assign_words(words, len);
+    } else {
         // Reversing all 64 bits, then the byte order, reverses each
         // byte's bits in place.
-        if refin {
-            w
-        } else {
-            w.reverse_bits().swap_bytes()
-        }
-    });
-    out.assign_words(words, data.len() * 8);
+        out.assign_words(words.map(|w| w.reverse_bits().swap_bytes()), len);
+    }
 }
 
 /// A complete CRC algorithm: a [`CrcSpec`] driving any [`RawCrcCore`].

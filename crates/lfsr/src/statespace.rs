@@ -63,7 +63,8 @@ pub struct StateSpaceLfsr {
 }
 
 /// `A`'s columns, `b` and `C`'s first row as LSB-first words, packed
-/// once at construction for the word-level engine.
+/// once at construction for the word-level engine; for a one-word state
+/// also the 8-step map that absorbs a whole byte of input.
 #[derive(Clone, PartialEq, Eq)]
 struct Packed {
     /// Words per state vector, `k.div_ceil(64)`.
@@ -73,6 +74,11 @@ struct Packed {
     b: Vec<u64>,
     /// Row 0 of `C` (empty when `C` has no rows).
     c0: Vec<u64>,
+    /// Column `j` of `A^8` (one-word states only, else empty).
+    a8_cols: Vec<u64>,
+    /// `A^{7−j}·b`, what input bit `j` of a byte adds after the byte's
+    /// eight steps (one-word states only).
+    b8: [u64; 8],
 }
 
 impl Packed {
@@ -84,7 +90,7 @@ impl Packed {
                 a_cols[j * kw + i / 64] |= 1 << (i % 64);
             }
         }
-        Packed {
+        let mut p = Packed {
             kw,
             a_cols,
             b: b.words().to_vec(),
@@ -92,7 +98,41 @@ impl Packed {
                 .iter_rows()
                 .next()
                 .map_or(Vec::new(), |r| r.words().to_vec()),
+            a8_cols: Vec::new(),
+            b8: [0; 8],
+        };
+        if kw == 1 {
+            // A^e·x, one step at a time.
+            let pow = |x: u64, e: usize| {
+                (0..e).fold(x, |x, _| {
+                    let mut next = [0];
+                    p.step(&[x], false, &mut next);
+                    next[0]
+                })
+            };
+            let a8_cols = (0..a.cols()).map(|j| pow(1 << j, 8)).collect();
+            let b8 = std::array::from_fn(|j| pow(p.b[0], 7 - j));
+            (p.a8_cols, p.b8) = (a8_cols, b8);
         }
+        p
+    }
+
+    /// Eight steps of a one-word state at once: `A^8·x` plus the
+    /// columns of the set bits of `byte` (input bit `j` is bit `j`).
+    #[inline]
+    fn step8(&self, x: u64, byte: u64) -> u64 {
+        let mut acc = 0;
+        let mut w = x;
+        while w != 0 {
+            acc ^= self.a8_cols[w.trailing_zeros() as usize];
+            w &= w - 1;
+        }
+        let mut u = byte & 0xFF;
+        while u != 0 {
+            acc ^= self.b8[u.trailing_zeros() as usize];
+            u &= u - 1;
+        }
+        acc
     }
 
     /// `next = A·x ⊕ b·u`, XORing the column of every set state bit.
@@ -365,24 +405,36 @@ impl StateSpaceLfsr {
     }
 
     /// Steps through `bits` in index order (bit 0 of `bits` first),
-    /// discarding outputs — the CRC usage pattern. Runs on packed words;
-    /// the result equals `bits.len()` calls of [`StateSpaceLfsr::step`].
+    /// discarding outputs — the CRC usage pattern. Runs on packed words,
+    /// a byte at a time when the state fits one word (see
+    /// [`StateSpaceLfsr::absorb_word`]); the result equals `bits.len()`
+    /// calls of [`StateSpaceLfsr::step`].
     pub fn absorb(&mut self, bits: &BitVec) {
-        self.run_words(bits, None);
+        if self.packed.kw == 1 {
+            let x = self.absorb_word(self.state.to_u64(), bits, 0..bits.len());
+            self.state = BitVec::from_u64(x, self.dim());
+        } else {
+            self.run_words(bits, None);
+        }
     }
 
     /// The state after absorbing bits `range` of `bits` from state `x`,
     /// for a state of at most 64 bits held in one word: the engine's own
-    /// state is untouched and nothing is allocated.
+    /// state is untouched and nothing is allocated. Whole bytes of the
+    /// range take the 8-step map; only the last `range.len() % 8` bits
+    /// step one at a time.
     ///
     /// # Panics
     ///
     /// Panics if the state is wider than 64 bits.
     pub fn absorb_word(&self, x: u64, bits: &BitVec, range: std::ops::Range<usize>) -> u64 {
-        assert_eq!(self.packed.kw, 1, "absorb_word needs a one-word state");
+        let p = &self.packed;
+        assert_eq!(p.kw, 1, "absorb_word needs a one-word state");
+        let bytes = range.len() / 8;
+        let x = (0..bytes).fold(x, |x, b| p.step8(x, bits.word_at(range.start + 8 * b)));
         let (mut x, mut next) = ([x], [0u64]);
-        for i in range {
-            self.packed.step(&x, bits.get(i), &mut next);
+        for i in range.start + 8 * bytes..range.end {
+            p.step(&x, bits.get(i), &mut next);
             x = next;
         }
         x[0]

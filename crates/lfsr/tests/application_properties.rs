@@ -174,6 +174,37 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The byte-wise tails: `absorb_word` on a range with an unaligned
+    /// start and a length that need not be whole bytes, and the one-word
+    /// `absorb`, against repeated `step`.
+    #[test]
+    fn byte_wise_absorb_matches_repeated_steps(
+        k_idx in 0usize..5,
+        seed in any::<u64>(),
+        input in proptest::collection::vec(any::<bool>(), 0..200),
+        start in 0usize..200,
+        len in 0usize..200,
+    ) {
+        let k = [1, 7, 32, 63, 64][k_idx];
+        let sys = random_system(k, seed);
+        let bits = BitVec::from_bits(input);
+        let start = start.min(bits.len());
+        let end = (start + len).min(bits.len());
+        let mut reference = sys.clone();
+        for i in start..end {
+            reference.step(bits.get(i));
+        }
+        let x0 = sys.state().to_u64();
+        prop_assert_eq!(sys.absorb_word(x0, &bits, start..end), reference.state().to_u64());
+        let mut absorbed = sys.clone();
+        absorbed.absorb(&bits.slice(start, end - start));
+        prop_assert_eq!(absorbed.state(), reference.state());
+    }
+}
+
 #[test]
 fn word_engines_match_repeated_steps_on_the_standard_systems() {
     let data = BitVec::from_words(vec![0x0123_4567_89AB_CDEF, 0xFEDC_BA98], 100);

@@ -9,13 +9,21 @@
 //! tables ([`gf2::AffineTable`]), split where the operation's state
 //! inputs end, so the stream loops feed the state and the data block
 //! from separate words: `y = c ⊕ S·x ⊕ D·u`.
+//!
+//! A CRC update whose block width M divides 64 may also get a
+//! [`WordTable`]: `L = 64/M` issues composed into one step per 64-bit
+//! word of a packed message. It is derived from the data table and the
+//! feedback row, built only once the compile has streamed enough blocks
+//! to pay for it, and dies with the compile.
 
-use crate::op::PgaOperation;
+use crate::op::{CompanionFeedback, PgaOperation};
 use crate::tape::{scatter, Tape};
 use gf2::AffineTable;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// The host's form of one context: the tape, and the tables swept from it.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub(crate) struct Compiled {
     /// The gates in row order, which `affine_probe` sweeps at probe time.
     pub(crate) tape: Tape,
@@ -24,7 +32,22 @@ pub(crate) struct Compiled {
     pub(crate) state: AffineTable,
     /// `u ↦ c ⊕ D·u` over the data inputs (the rest).
     pub(crate) data: AffineTable,
+    /// The word table of a CRC update, once built.
+    word: OnceLock<WordTable>,
+    /// Blocks packed streams have run through the per-block loop of this
+    /// compile while it had no word table.
+    streamed: AtomicUsize,
 }
+
+/// Equality of the compiled map: the word table and the block count are
+/// derived state, so whether the table has been built yet does not count.
+impl PartialEq for Compiled {
+    fn eq(&self, other: &Self) -> bool {
+        (&self.tape, &self.state, &self.data) == (&other.tape, &other.state, &other.data)
+    }
+}
+
+impl Eq for Compiled {}
 
 impl Compiled {
     /// Compiles `op` on a fabric whose stuck-at cells are `stuck`, as
@@ -62,6 +85,8 @@ impl Compiled {
             state: AffineTable::from_columns(k, width, &vec![0; w], x_cols),
             data: AffineTable::from_columns(n - k, width, offset, u_cols),
             tape,
+            word: OnceLock::new(),
+            streamed: AtomicUsize::new(0),
         }
     }
 
@@ -69,6 +94,142 @@ impl Compiled {
     pub(crate) fn out_words(&self) -> usize {
         self.data.out_words()
     }
+
+    /// The word table of this CRC update compile (feedback `fb`), for a
+    /// packed stream of `n` more blocks. It is built once the blocks
+    /// packed streams have run block by block through this compile,
+    /// these `n` included, reach its entry count: rent until the rent
+    /// paid equals the price. `None` before then, and for an operation
+    /// that has none (k > 64, M ≥ 64, or M not dividing 64).
+    pub(crate) fn word_table(&self, fb: &CompanionFeedback, n: usize) -> Option<&WordTable> {
+        if let Some(t) = self.word.get() {
+            return Some(t);
+        }
+        let m = self.data.n_inputs();
+        let entries = WordTable::entries(fb.k, m)?;
+        let streamed = self.streamed.fetch_add(n, Ordering::Relaxed) + n;
+        (streamed >= entries).then(|| self.word.get_or_init(|| WordTable::new(&self.data, fb)))
+    }
+
+    /// Whether the word table has been built.
+    #[cfg(test)]
+    pub(crate) fn has_word_table(&self) -> bool {
+        self.word.get().is_some()
+    }
+}
+
+/// `L = 64/M` issues of a CRC update composed into one step per 64-bit
+/// message word.
+///
+/// One issue is `s ← A·s ⊕ c ⊕ D·u_b`, with `A` the feedback row's
+/// companion matrix and `c ⊕ D·u_b` the data table's answer to block
+/// `b`. `L` of them give
+/// `s ← A^L·s ⊕ Σ_{i<L} A^{L−1−i}·(c ⊕ D·u_i)`: an affine map of the
+/// message word (block `i` is its bits `[i·M, (i + 1)·M)`), kept as
+/// eight byte tables, plus `A^L·s`. The state bits below `k − h`,
+/// `h = min(L, k)`, only shift up by `L` under `A^L`; the top `h` go
+/// through byte tables of their own — Sarwate's table, `L` bits at a
+/// time. So the loop-carried chain is a shift, one lookup (`h ≤ 8`) and
+/// the XORs. The columns come from the compile's data table, so the
+/// composite is exact for every configuration the fault model produces.
+#[derive(Debug)]
+pub(crate) struct WordTable {
+    /// Blocks per word, `L`.
+    blocks: usize,
+    /// The state bits that only shift under `A^L`, and by how much.
+    low: u64,
+    shift: u32,
+    /// Where the top `h` state bits start, and `A^L` on them, 256
+    /// entries per byte of them.
+    top_at: u32,
+    top: Vec<[u64; 256]>,
+    /// `w ↦ Σ_{i<L} A^{L−1−i}·(c ⊕ D·u_i)`, 256 entries per byte of the
+    /// message word; the constant term is folded into byte 0's entries.
+    data: Box<[[u64; 256]; 8]>,
+}
+
+impl WordTable {
+    /// The entries of the table a `k`-bit state and `m`-bit blocks get,
+    /// or `None` when they get none.
+    pub(crate) fn entries(k: usize, m: usize) -> Option<usize> {
+        let fits = (1..=64).contains(&k) && m < 64 && 64 % m == 0;
+        fits.then(|| 256 * (8 + (64 / m).min(k).div_ceil(8)))
+    }
+
+    /// Composes the issues of the data table `data` (`c ⊕ D·u` over one
+    /// block) and the feedback row `fb`.
+    fn new(data: &AffineTable, fb: &CompanionFeedback) -> WordTable {
+        let (k, m) = (fb.k, data.n_inputs());
+        let l = 64 / m;
+        let step = fb.word_step();
+        let pow = |v: u64, e: usize| (0..e).fold(v, |v, _| step(v, 0));
+        let c = data.apply_word(|_| 0);
+        // Word bit i·M + t enters block i as D·e_t, which the L − 1 − i
+        // later issues carry on.
+        let columns: Vec<u64> = (0..64)
+            .map(|j| pow(data.apply_word(|_| 1 << (j % m)) ^ c, l - 1 - j / m))
+            .collect();
+        let mut bytes: Box<[[u64; 256]; 8]> = byte_tables(&columns)
+            .into_boxed_slice()
+            .try_into()
+            .expect("a word has eight bytes");
+        let offset = (0..l).fold(0, |s, _| step(s, c));
+        for e in &mut bytes[0] {
+            *e ^= offset;
+        }
+        let h = l.min(k);
+        let top: Vec<u64> = (k - h..k).map(|i| pow(1 << i, l)).collect();
+        WordTable {
+            blocks: l,
+            low: if h < k { (1 << (k - h)) - 1 } else { 0 },
+            shift: if h < k { l as u32 } else { 0 },
+            top_at: (k - h) as u32,
+            top: byte_tables(&top),
+            data: bytes,
+        }
+    }
+
+    /// Blocks one word carries, `L`.
+    pub(crate) fn blocks(&self) -> usize {
+        self.blocks
+    }
+
+    /// The state after the `L` blocks of message word `w`, from `s`.
+    #[inline]
+    pub(crate) fn step(&self, s: u64, w: u64) -> u64 {
+        let t = s >> self.top_at;
+        let mut y = (s & self.low) << self.shift;
+        for (g, e) in self.top.iter().enumerate() {
+            y ^= e[((t >> (8 * g)) & 0xFF) as usize];
+        }
+        for (g, e) in self.data.iter().enumerate() {
+            y ^= e[((w >> (8 * g)) & 0xFF) as usize];
+        }
+        y
+    }
+
+    /// Heap bytes of the tables.
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.data) + std::mem::size_of_val(&self.top[..])
+    }
+}
+
+/// Four-Russians tables of the linear map with these columns: for each
+/// eight columns, the 256 XORs of their subsets (entry `v` of table `g`
+/// holds the columns `8g + j` for the set bits `j` of `v`).
+fn byte_tables(columns: &[u64]) -> Vec<[u64; 256]> {
+    columns
+        .chunks(8)
+        .map(|cols| {
+            let mut t = [0; 256];
+            for v in 1..256usize {
+                let j = v.trailing_zeros() as usize;
+                t[v] = t[v & (v - 1)] ^ cols.get(j).copied().unwrap_or(0);
+            }
+            t
+        })
+        .collect()
 }
 
 /// The operation's state inputs: the first `k` network inputs of a dense

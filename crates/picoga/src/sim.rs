@@ -734,22 +734,26 @@ impl PicogaSim {
         I: IntoIterator<Item = &'a BitVec>,
     {
         let width = self.crc_update_width()?;
+        self.check_state(x_t)?;
         let (blocks, err) = valid_prefix(blocks, width);
         if let Some(e) = err {
             return Err(e);
         }
-        self.crc_stream(x_t, blocks.len(), listed(&blocks))
+        self.crc_stream(x_t, blocks.len(), listed(&blocks), None)
     }
 
     /// [`PicogaSim::run_crc_stream`] over the first `n` M-bit blocks of
     /// a packed bit stream (block `b` is bits `[b·M, (b+1)·M)` of
-    /// `bits`), read a word at a time.
+    /// `bits`), read a word at a time. Once the context's compile has a
+    /// word table, the stream's whole 64-bit words take one table sweep
+    /// each, and the blocks after them go one at a time; the cycles
+    /// charged are the same.
     ///
     /// # Errors
     ///
     /// Shape mismatches per [`SimError`];
     /// [`SimError::InputWidthMismatch`] when `bits` is shorter than
-    /// `n` blocks.
+    /// `n` blocks or `x_t` is not k bits.
     pub fn run_crc_blocks(
         &mut self,
         x_t: &BitVec,
@@ -758,7 +762,8 @@ impl PicogaSim {
     ) -> Result<BitVec, SimError> {
         let m = self.crc_update_width()?;
         check_packed(bits, n, m)?;
-        self.crc_stream(x_t, n, packed(bits, m))
+        self.check_state(x_t)?;
+        self.crc_stream(x_t, n, packed(bits, m), Some(bits.words()))
     }
 
     /// [`PicogaSim::run_crc_blocks`] for a state of at most 64 bits, held
@@ -776,7 +781,7 @@ impl PicogaSim {
     ) -> Result<u64, SimError> {
         let m = self.crc_update_width()?;
         check_packed(bits, n, m)?;
-        self.crc_stream_word(x_t, n, packed(bits, m))
+        self.crc_stream_word(x_t, n, packed(bits, m), Some(bits.words()))
     }
 
     /// The block width M of the active CRC update operation.
@@ -791,12 +796,15 @@ impl PicogaSim {
     }
 
     /// Each block's feed-forward `p` from the tables, then the feedback
-    /// row (one word when k ≤ 64).
+    /// row (one word when k ≤ 64). `stream` holds the words of a packed
+    /// stream, which may take the word table (see
+    /// [`PicogaSim::crc_stream_word`]).
     fn crc_stream(
         &mut self,
         x_t: &BitVec,
         n: usize,
         word: impl Fn(usize, usize) -> u64,
+        stream: Option<&[u64]>,
     ) -> Result<BitVec, SimError> {
         if n == 0 {
             return Ok(x_t.clone());
@@ -805,7 +813,7 @@ impl PicogaSim {
         let fb = ctx.op.feedback().expect("crc update has feedback");
         let k = fb.k;
         if k <= 64 {
-            let s = self.crc_stream_word(x_t.word_at(0), n, word)?;
+            let s = self.crc_stream_word(x_t.word_at(0), n, word, stream)?;
             return Ok(BitVec::from_u64(s, k));
         }
         let table = &ctx.code.data;
@@ -822,12 +830,16 @@ impl PicogaSim {
     }
 
     /// [`PicogaSim::crc_stream`] for a state of at most 64 bits: the
-    /// feedback row is one word.
+    /// feedback row is one word. A packed stream (`stream`: its words,
+    /// `L` blocks to a word) runs its whole words through the compile's
+    /// word table when it has one, and the rest block by block; a list
+    /// of blocks always runs block by block.
     fn crc_stream_word(
         &mut self,
         x_t: u64,
         n: usize,
         word: impl Fn(usize, usize) -> u64,
+        stream: Option<&[u64]>,
     ) -> Result<u64, SimError> {
         let (ctx, _) = self.active_parts()?;
         let fb = ctx.op.feedback().expect("crc update has feedback");
@@ -835,9 +847,18 @@ impl PicogaSim {
             return Err(ONE_WORD);
         }
         let mut s = x_t & (u64::MAX >> (64 - fb.k));
-        let (step, table, stats) = (fb.word_step(), &ctx.code.data, ctx.op.stats());
-        for b in 0..n {
-            s = step(s, table.apply_word(|g| word(b, g)));
+        let (code, stats) = (&ctx.code, ctx.op.stats());
+        let mut done = 0;
+        if let Some(words) = stream {
+            if let Some(table) = code.word_table(fb, n) {
+                let whole = n / table.blocks();
+                s = words[..whole].iter().fold(s, |s, &w| table.step(s, w));
+                done = whole * table.blocks();
+            }
+        }
+        let step = fb.word_step();
+        for b in done..n {
+            s = step(s, code.data.apply_word(|g| word(b, g)));
         }
         self.charge_stream(stats, n as u64);
         Ok(s)
@@ -1024,8 +1045,8 @@ impl PicogaSim {
             }
             valid.push((lane, block));
         }
-        // Items before a malformed one have updated their lanes when the
-        // error surfaces.
+        // Items before a malformed one have run (and been charged) when
+        // the error surfaces, as on the fabric.
         let (ctx, scratch) = self.active_parts()?;
         let fb = ctx.op.feedback().expect("crc update has feedback");
         let table = &ctx.code.data;
@@ -1043,11 +1064,8 @@ impl PicogaSim {
                 *state = BitVec::from_words(w, k);
             }
         }
-        if let Some(e) = err {
-            return Err(e);
-        }
         self.charge_stream(stats, valid.len() as u64);
-        Ok(())
+        err.map_or(Ok(()), Err)
     }
 
     /// Streams `blocks` through the active **scrambler** operation from
@@ -1066,6 +1084,7 @@ impl PicogaSim {
         I: IntoIterator<Item = &'a BitVec>,
     {
         let m = self.scrambler_width()?;
+        self.check_state(x_t)?;
         let (blocks, err) = valid_prefix(blocks, m);
         if let Some(e) = err {
             return Err(e);
@@ -1089,7 +1108,21 @@ impl PicogaSim {
     ) -> Result<(BitVec, BitVec), SimError> {
         let m = self.scrambler_width()?;
         check_packed(bits, n, m)?;
+        self.check_state(x_t)?;
         Ok(self.scrambler_stream(x_t, n, packed(bits, m)))
+    }
+
+    /// Checks that start state `x_t` has the k bits of the active CRC
+    /// update's or scrambler's state row.
+    fn check_state(&self, x_t: &BitVec) -> Result<(), SimError> {
+        let k = self.active_op()?.feedback().map_or(0, |fb| fb.k);
+        if x_t.len() != k {
+            return Err(SimError::InputWidthMismatch {
+                got: x_t.len(),
+                expected: k,
+            });
+        }
+        Ok(())
     }
 
     /// The block width M of the active scrambler operation.
@@ -1164,6 +1197,7 @@ fn check_packed(bits: &BitVec, n: usize, m: usize) -> Result<(), SimError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compiled::WordTable;
     use gf2::{BitMat, Gf2Poly};
     use xornet::{synthesize, SynthOptions};
 
@@ -1867,6 +1901,241 @@ mod tests {
                         assert_eq!(sim.affine_probe().unwrap(), oracle_probe(&sim));
                     }
                 }
+            }
+        }
+
+        /// CRC updates over `m`-bit blocks, one per generator: CRC-5/USB's
+        /// (k < L at M = 8), CRC-8's, CRC-16/CCITT's and CRC-32's, each
+        /// with a random feed-forward network.
+        fn crc_updates(rng: &mut Rng, m: usize) -> Vec<PgaOperation> {
+            [(0x05, 5), (0x07, 8), (0x1021, 16), (0x04C1_1DB7, 32)]
+                .into_iter()
+                .map(|(poly, k)| {
+                    let fb = BitMat::companion(&Gf2Poly::from_crc_notation(poly, k));
+                    let net = synthesize(&rng.matrix(k, m), SynthOptions::default());
+                    PgaOperation::crc_update(format!("crc{k}"), net, &fb, &roomy()).unwrap()
+                })
+                .collect()
+        }
+
+        /// Streams packed blocks through the fresh compile in slot 0 up
+        /// to its word table's build point: one block short of it there
+        /// is no table, at it there is one. Returns whether the
+        /// operation gets a table at all.
+        fn drive_to_build_point(sim: &mut PicogaSim, rng: &mut Rng, m: usize) -> bool {
+            let k = sim.context(0).unwrap().feedback().unwrap().k;
+            assert!(!code(sim).has_word_table(), "a fresh compile has none");
+            let Some(entries) = WordTable::entries(k, m) else {
+                let bits = rng.bits(4096 * m);
+                sim.run_crc_blocks(&BitVec::zeros(k), &bits, 4096).unwrap();
+                assert!(!code(sim).has_word_table());
+                return false;
+            };
+            let bits = rng.bits(entries * m);
+            sim.run_crc_blocks_word(0, &bits, entries - 1).unwrap();
+            assert!(!code(sim).has_word_table(), "one block short");
+            assert_eq!(sim.compile_is_exact(0), Some(true));
+            sim.run_crc_blocks(&BitVec::zeros(k), &bits, 1).unwrap();
+            assert!(code(sim).has_word_table(), "built at the build point");
+            assert_eq!(sim.compile_is_exact(0), Some(true));
+            true
+        }
+
+        /// The packed, one-word and listed entry points against the
+        /// gate-at-a-time oracle on `n` random blocks, for every `n`
+        /// around a word of `L` blocks, with the cycles each charges.
+        fn check_word_path(sim: &mut PicogaSim, rng: &mut Rng, m: usize) {
+            let op = sim.context(0).unwrap().clone();
+            let fb = op.feedback().unwrap().clone();
+            let l = (64 / m).max(1);
+            for n in [0, 1, l - 1, l, l + 1, 130] {
+                let what = format!("{} m{m} n{n}", op.name());
+                let blocks: Vec<BitVec> = (0..n).map(|_| rng.bits(m)).collect();
+                let bits = packed(&blocks);
+                let x0 = rng.bits(fb.k);
+                let want = blocks
+                    .iter()
+                    .fold(x0.clone(), |x, b| fb.apply(&x, &oracle(sim, b)));
+                let cycles = if n == 0 {
+                    0
+                } else {
+                    op.stats().latency + n as u64 - 1
+                };
+                sim.reset_counters();
+                assert_eq!(sim.run_crc_blocks(&x0, &bits, n).unwrap(), want, "{what}");
+                assert_eq!(sim.counters().compute, cycles, "{what}");
+                sim.reset_counters();
+                let word = sim.run_crc_blocks_word(x0.to_u64(), &bits, n).unwrap();
+                assert_eq!(word, want.to_u64(), "{what} one-word");
+                assert_eq!(sim.counters().compute, cycles, "{what} one-word");
+                let listed = sim.run_crc_stream(&x0, blocks.iter()).unwrap();
+                assert_eq!(listed, want, "{what} listed");
+            }
+        }
+
+        /// Word tables against the gate-at-a-time evaluator, through the
+        /// packed and one-word entry points, at M ∈ {8, 16, 32} and
+        /// k ∈ {5, 8, 16, 32}: pristine, under random wire flips (some
+        /// reading later-row gates), tap flips and stuck cells, and
+        /// under an armed load corruption. M = 128 never gets a table.
+        #[test]
+        fn word_tables_match_the_row_evaluator_under_faults() {
+            let mut rng = Rng(0x0057_0D0C_A5E5);
+            let mut forward = 0;
+            for m in [8, 16, 32, 128] {
+                for op in crc_updates(&mut rng, m) {
+                    for round in 0..3 {
+                        let mut sim = PicogaSim::new(roomy());
+                        if round == 2 {
+                            let (gate, new_signal, _) = semantic_wire_flip(&op);
+                            sim.arm_load_corruption(LoadCorruption {
+                                load_index: 0,
+                                fault: LoadFault::WireFlip {
+                                    gate,
+                                    pin: 0,
+                                    new_signal,
+                                },
+                            });
+                        }
+                        sim.load_context(0, op.clone()).unwrap();
+                        sim.switch_to(0).unwrap();
+                        if round == 1 {
+                            forward += corrupt(&mut sim, &op, &mut rng);
+                        }
+                        let built = drive_to_build_point(&mut sim, &mut rng, m);
+                        assert_eq!(built, m < 64, "{} m{m}", op.name());
+                        if built {
+                            let k = op.feedback().unwrap().k;
+                            let code = code(&sim);
+                            let table = code.word_table(op.feedback().unwrap(), 0).unwrap();
+                            let top = (64 / m).min(k).div_ceil(8);
+                            assert_eq!(table.heap_bytes(), 2048 * (8 + top));
+                        }
+                        check_word_path(&mut sim, &mut rng, m);
+                    }
+                }
+            }
+            assert!(
+                forward > 5,
+                "flips reading later-placed gates were exercised"
+            );
+        }
+
+        /// A word table lives and dies with its compile. A stuck cell
+        /// under the placement, `clear_stuck_cells` and a wire flip
+        /// (which copies the configuration) each leave the resident
+        /// compile without one; the next is built at the build point
+        /// again and matches the oracle.
+        #[test]
+        fn word_tables_follow_every_recompile() {
+            let mut rng = Rng(0x5EED_0016);
+            for m in [8, 16, 32] {
+                let op = crc_updates(&mut rng, m).swap_remove(3);
+                let mut sim = PicogaSim::new(roomy());
+                sim.load_context(0, op.clone()).unwrap();
+                sim.switch_to(0).unwrap();
+                let stuck = ConfigFault::StuckCell {
+                    row: 0,
+                    cell: 0,
+                    value: true,
+                };
+                let (gate, new_signal, _) = semantic_wire_flip(&op);
+                let steps: [&dyn Fn(&mut PicogaSim); 4] = [
+                    &|sim| sim.inject(&stuck).unwrap(),
+                    &|sim| sim.clear_stuck_cells(),
+                    &|sim| sim.inject(&wire_flip(gate, 0, new_signal)).unwrap(),
+                    &|sim| sim.inject(&stuck).unwrap(),
+                ];
+                for step in steps {
+                    step(&mut sim);
+                    assert_eq!(sim.compile_is_exact(0), Some(true));
+                    assert!(drive_to_build_point(&mut sim, &mut rng, m));
+                    check_word_path(&mut sim, &mut rng, m);
+                }
+            }
+        }
+
+        /// An interleaved batch whose j-th item is malformed has run the
+        /// j items before it, and charged them.
+        #[test]
+        fn a_malformed_interleaved_item_charges_the_blocks_before_it() {
+            let mut rng = Rng(0x0BAD_17E5);
+            let op = ops(&mut rng, 8).swap_remove(1);
+            let (fb, latency) = (op.feedback().unwrap().clone(), op.stats().latency);
+            let mut sim = PicogaSim::new(roomy());
+            sim.load_context(0, op).unwrap();
+            sim.switch_to(0).unwrap();
+            let blocks: Vec<BitVec> = (0..6).map(|_| rng.bits(8)).collect();
+            let short = rng.bits(7);
+            for j in 0..blocks.len() {
+                for bad_lane in [false, true] {
+                    let mut items: Vec<(usize, &BitVec)> =
+                        blocks.iter().enumerate().map(|(i, b)| (i % 3, b)).collect();
+                    items[j] = if bad_lane {
+                        (3, &blocks[j])
+                    } else {
+                        (j % 3, &short)
+                    };
+                    let mut lanes: Vec<BitVec> = (0..3).map(|_| rng.bits(32)).collect();
+                    let mut want = lanes.clone();
+                    for &(l, b) in &items[..j] {
+                        want[l] = fb.apply(&want[l], &oracle(&sim, b));
+                    }
+                    sim.reset_counters();
+                    let err = sim.run_crc_interleaved(&mut lanes, items).unwrap_err();
+                    let expected = if bad_lane {
+                        SimError::BadSlot {
+                            slot: 3,
+                            contexts: 3,
+                        }
+                    } else {
+                        SimError::InputWidthMismatch {
+                            got: 7,
+                            expected: 8,
+                        }
+                    };
+                    assert_eq!(err, expected);
+                    assert_eq!(lanes, want, "item {j}");
+                    let cycles = if j == 0 { 0 } else { latency + j as u64 - 1 };
+                    assert_eq!(sim.counters().compute, cycles, "item {j}");
+                }
+            }
+        }
+
+        /// Every CRC and scrambler stream entry point refuses a start
+        /// state that is not k bits wide, and charges nothing for it.
+        #[test]
+        fn start_states_of_the_wrong_width_are_refused() {
+            let mut rng = Rng(0x0057_A7E5);
+            let ops = ops(&mut rng, 8);
+            for op in [&ops[1], &ops[3]] {
+                let k = op.feedback().unwrap().k;
+                let mut sim = PicogaSim::new(roomy());
+                sim.load_context(0, op.clone()).unwrap();
+                sim.switch_to(0).unwrap();
+                sim.reset_counters();
+                let blocks: Vec<BitVec> = (0..4).map(|_| rng.bits(8)).collect();
+                let bits = packed(&blocks);
+                for len in [k / 2, k - 1, k + 1] {
+                    let x = rng.bits(len);
+                    let want = SimError::InputWidthMismatch {
+                        got: len,
+                        expected: k,
+                    };
+                    let errs = if op.is_crc_update() {
+                        [
+                            sim.run_crc_stream(&x, blocks.iter()).unwrap_err(),
+                            sim.run_crc_blocks(&x, &bits, 4).unwrap_err(),
+                        ]
+                    } else {
+                        [
+                            sim.run_scrambler_stream(&x, blocks.iter()).unwrap_err(),
+                            sim.run_scrambler_blocks(&x, &bits, 4).unwrap_err(),
+                        ]
+                    };
+                    assert_eq!(errs, [want.clone(), want], "{} {len} bits", op.name());
+                }
+                assert_eq!(sim.counters().compute, 0);
             }
         }
 
