@@ -113,22 +113,26 @@ fn chaos_campaign_heals_and_stays_exact_through_the_facade() {
     // The lib tests cover the full smoke shape; through the facade a
     // reduced campaign proves the public API carries the whole loop:
     // chaos injection, breakers, tokenized retries, a rolling upgrade.
+    // The scripted drain, kill and upgrade land before the campaign's
+    // ~21 ticks run out.
     let mut cfg = ChaosStormConfig::smoke(77);
     cfg.storm.streams = 48;
     cfg.storm.ticks = 100;
-    cfg.storm.drain_tick = 20;
-    cfg.storm.kill_tick = 40;
+    cfg.storm.drain_tick = 9;
+    cfg.storm.kill_tick = 13;
     cfg.storm.crc_ms = vec![8];
-    cfg.upgrade_tick = 50;
+    cfg.upgrade_tick = 16;
     cfg.upgrade_shards = vec![2];
     let report = run_chaos_storm(&cfg).unwrap();
-    assert!(
-        report.passed(),
-        "chaos campaign failed:\n{}",
-        report.render()
-    );
+    let text = report.render();
+    assert!(report.passed(), "chaos campaign failed:\n{text}");
     assert_eq!(report.completed, report.planned);
     assert_eq!(report.dup_violations, 0);
+    assert_eq!(report.shard_lines[1].state, "drained", "drain:\n{text}");
+    assert_eq!(report.shard_lines[0].state, "killed", "kill:\n{text}");
+    assert!(report.counters.failovers >= 1, "failovers:\n{text}");
+    assert_eq!(report.upgraded, 1, "rolling upgrade:\n{text}");
+    assert!(report.counters.breaker_trips >= 1, "breakers:\n{text}");
     let again = run_chaos_storm(&cfg).unwrap();
     assert_eq!(report.render(), again.render(), "same seed, same campaign");
 }

@@ -107,11 +107,20 @@ fn crash_campaign_stays_exact_through_the_facade() {
     cfg.storm.scrambler_m = 16;
     cfg.degrade_tick = 10;
     cfg.heal_tick = 13;
-    cfg.fault_tick = 30;
+    cfg.fault_tick = 16;
     let report = run_crash_storm(&cfg).unwrap();
     assert!(
         report.passed(),
         "crash campaign failed:\n{}",
+        report.render()
+    );
+    assert!(
+        report.ticks_run > cfg.fault_tick,
+        "the SEU tick is in the run"
+    );
+    assert!(
+        report.hasher_software_frames >= 1 && report.hasher_ladder_runs >= 2,
+        "the degrade, the heal and the SEU each reached the lane:\n{}",
         report.render()
     );
     assert_eq!(report.completed, report.planned);
