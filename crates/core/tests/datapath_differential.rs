@@ -1,5 +1,5 @@
 //! Differential tests of the host datapath against its oracles at
-//! M ∈ {8, 32, 128}: checksums against `crc_bitwise` (the dense lane
+//! M ∈ {8, 16, 32, 128}: checksums against `crc_bitwise` (the dense lane
 //! included), scrambled frames against `AdditiveScrambler`, interleaved
 //! batches against per-message references, and configuration-scrub
 //! findings against the basis-probe procedure the scrub ran before
@@ -7,7 +7,9 @@
 //! vector of the resident one).
 
 use dream::{ControlModel, DreamSystem, ScrubFinding};
-use dream_lfsr::{build_crc_app, build_personality, build_scrambler_personality, FlowOptions};
+use dream_lfsr::{
+    build_crc_app, build_personality, build_scrambler_app, build_scrambler_personality, FlowOptions,
+};
 use gf2::{BitMat, BitVec};
 use lfsr::crc::{crc_bitwise, message_bits, CrcSpec};
 use lfsr::scramble::{AdditiveScrambler, ScramblerSpec};
@@ -168,32 +170,50 @@ fn long_messages_cross_the_word_table_build_point() {
     }
 }
 
+/// Scrambled frames against `AdditiveScrambler` through the one-shot
+/// `DreamSystem::scramble`, the chunked stream entry points (random
+/// whole-block chunks, then the residual) and `DreamScramblerApp`: the
+/// 802.11, DVB, PRBS23 and PRBS31 specs (states of 7 to 31 bits) at
+/// M ∈ {8, 16, 32, 128}. The first two frames, 2,000 and 1,400 blocks,
+/// carry each compile across its word table's build point (2,560 to
+/// 3,328 blocks at M < 64); then frames around one 64-bit word of blocks.
 #[test]
 fn scrambled_frames_match_the_serial_scrambler() {
     let mut rng = Rng(0x00F4_A3E5);
-    for m in [8, 32, 128] {
-        let mut sys = DreamSystem::new(PicogaParams::dream(), ControlModel::default());
-        let opts = FlowOptions::dream_with_m(m);
-        let p = build_scrambler_personality("wifi", ScramblerSpec::ieee80211(), &opts).unwrap();
-        sys.register_scrambler(p).unwrap();
-        for blocks in [0, 1, 63, 64, 65, 130] {
-            let len = (blocks * m + rng.below(m)).max(1);
-            let frame = BitVec::from_le_bytes(&rng.bytes(len.div_ceil(8)), len);
-            let seed = 1 + rng.below(127) as u64;
-            let (got, _) = sys.scramble("wifi", seed, &frame).unwrap();
-            let mut oracle =
-                AdditiveScrambler::with_seed(ScramblerSpec::ieee80211(), seed).unwrap();
-            assert_eq!(got, oracle.scramble(&frame), "M={m}, {len} bits");
+    for name in ["IEEE-802.11", "DVB", "PRBS23", "PRBS31"] {
+        let spec = ScramblerSpec::by_name(name).expect("catalogue entry");
+        for m in [8, 16, 32, 128] {
+            let mut sys = DreamSystem::new(PicogaParams::dream(), ControlModel::default());
+            let opts = FlowOptions::dream_with_m(m);
+            let p = build_scrambler_personality("scr", spec, &opts).unwrap();
+            sys.register_scrambler(p).unwrap();
+            let (mut app, _) = build_scrambler_app(spec, &opts).unwrap();
+            for blocks in [2000, 1400, 0, 1, 3, 4, 5, 63, 64, 65, 130] {
+                let what = format!("{name} at M={m}, {blocks} blocks");
+                let len = (blocks * m + rng.below(m)).max(1);
+                let frame = BitVec::from_le_bytes(&rng.bytes(len.div_ceil(8)), len);
+                let seed = 1 + rng.below((1 << spec.width) - 1) as u64;
+                let mut oracle = AdditiveScrambler::with_seed(spec, seed).unwrap();
+                let want = oracle.scramble(&frame);
+                let (got, _) = sys.scramble("scr", seed, &frame).unwrap();
+                assert_eq!(got, want, "{what}");
+                assert_eq!(app.scramble(seed, &frame).0, want, "{what}, app");
 
-            let x0 = sys.scramble_stream_begin("wifi", seed).unwrap();
-            let whole = len / m * m;
-            let (head, x) = sys
-                .scramble_stream_feed("wifi", &x0, &frame.slice(0, whole))
-                .unwrap();
-            let (tail, _) = sys
-                .scramble_stream_finish("wifi", &x, &frame.slice(whole, len - whole))
-                .unwrap();
-            assert_eq!(head.concat(&tail), got, "M={m}, streamed");
+                let whole = len / m * m;
+                let (mut x, mut pos) = (sys.scramble_stream_begin("scr", seed).unwrap(), 0);
+                let mut streamed = BitVec::zeros(0);
+                while pos < whole {
+                    let take = (m * (1 + rng.below(300))).min(whole - pos);
+                    let (out, next) = sys
+                        .scramble_stream_feed("scr", &x, &frame.slice(pos, take))
+                        .unwrap();
+                    (streamed, x, pos) = (streamed.concat(&out), next, pos + take);
+                }
+                let (tail, _) = sys
+                    .scramble_stream_finish("scr", &x, &frame.slice(whole, len - whole))
+                    .unwrap();
+                assert_eq!(streamed.concat(&tail), want, "{what}, streamed");
+            }
         }
     }
 }

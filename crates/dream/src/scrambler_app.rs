@@ -9,11 +9,11 @@
 
 use crate::crc_app::BuildError;
 use crate::perf::{ControlModel, RunReport};
-use gf2::BitVec;
+use gf2::{BitMat, BitVec};
 use lfsr::scramble::ScramblerSpec;
 use lfsr::StateSpaceLfsr;
 use lfsr_parallel::{BlockSystem, DerbyTransform};
-use picoga::{OpStats, PgaOperation, PicogaParams, PicogaSim};
+use picoga::{CycleCounters, OpStats, PgaOperation, PicogaParams, PicogaSim, SimError};
 use xornet::{synthesize, SynthOptions};
 
 /// Context slot used by the scrambler (it needs only one).
@@ -23,12 +23,112 @@ const SCRAMBLER_SLOT: usize = 0;
 #[derive(Debug, Clone)]
 pub struct DreamScramblerApp {
     spec: ScramblerSpec,
-    m: usize,
     derby: DerbyTransform,
-    serial: StateSpaceLfsr,
+    lane: ScramblerLane,
     sim: PicogaSim,
     control: ControlModel,
     stats: OpStats,
+}
+
+/// The host half of a scrambler lane, which [`DreamScramblerApp`] and
+/// each scrambler personality of [`crate::DreamSystem`] keep: the block
+/// size M, the state maps packed one word per column (a scrambler's
+/// state has at most 63 bits), and the serial engine that scrambles
+/// tails of fewer than M bits.
+#[derive(Debug, Clone)]
+pub(crate) struct ScramblerLane {
+    m: usize,
+    /// State bits, k.
+    k: usize,
+    /// `T⁻¹`'s columns: a plain seed into the transformed domain.
+    to_fabric: Vec<u64>,
+    /// `T`'s columns: a transformed state back to the plain domain.
+    to_plain: Vec<u64>,
+    serial: StateSpaceLfsr,
+}
+
+impl ScramblerLane {
+    /// The lane at block size `m` under transform `derby`, with the
+    /// scrambler's serial engine `serial`.
+    pub(crate) fn new(m: usize, derby: &DerbyTransform, serial: StateSpaceLfsr) -> Self {
+        let columns = |t: &BitMat| (0..t.cols()).map(|j| t.column(j).to_u64()).collect();
+        ScramblerLane {
+            m,
+            k: derby.dim(),
+            to_fabric: columns(derby.t_inv()),
+            to_plain: columns(derby.t()),
+            serial,
+        }
+    }
+
+    /// The block size M.
+    pub(crate) fn m(&self) -> usize {
+        self.m
+    }
+
+    /// Plain seed `seed` in the transformed domain, `T⁻¹·seed`.
+    pub(crate) fn transform_seed(&self, seed: u64) -> u64 {
+        apply_columns(&self.to_fabric, seed)
+    }
+
+    /// Scrambles `residual` on the serial engine from transformed state
+    /// `x_t`, anti-transformed first.
+    pub(crate) fn tail(&mut self, x_t: u64, residual: &BitVec) -> BitVec {
+        let plain = apply_columns(&self.to_plain, x_t);
+        self.serial.set_state(BitVec::from_u64(plain, self.k));
+        self.serial.transduce(residual)
+    }
+
+    /// Scrambles one frame from plain seed `seed` on `sim`, whose active
+    /// context is this lane's scrambler: the seed into the transformed
+    /// domain, the whole M-bit blocks on the fabric, and a tail of fewer
+    /// than M bits on the serial engine. Only the returned frame is
+    /// allocated when there is no tail. The report's fabric cycles count
+    /// from `start`, the counters before the caller made the context
+    /// active.
+    ///
+    /// # Errors
+    ///
+    /// Fabric errors.
+    pub(crate) fn scramble(
+        &mut self,
+        sim: &mut PicogaSim,
+        control: &ControlModel,
+        seed: u64,
+        data: &BitVec,
+        start: CycleCounters,
+    ) -> Result<(BitVec, RunReport), SimError> {
+        let mut report = RunReport {
+            bits: data.len() as u64,
+            control_cycles: control.msg_setup_cycles + control.msg_finalize_cycles,
+            ..Default::default()
+        };
+        let full = data.len() / self.m;
+        let x_t0 = self.transform_seed(seed);
+        let (mut out, x_t) = sim.run_scrambler_blocks_word(x_t0, data, full)?;
+        let tail_len = data.len() - full * self.m;
+        if tail_len > 0 {
+            report.tail_cycles += (tail_len as u64).div_ceil(8) * control.tail_cycles_per_byte;
+            out = out.concat(&self.tail(x_t, &data.slice(full * self.m, tail_len)));
+        }
+        let end = sim.counters();
+        report.picoga = CycleCounters {
+            compute: end.compute - start.compute,
+            context_switch: end.context_switch - start.context_switch,
+            context_load: end.context_load - start.context_load,
+        };
+        Ok((out, report))
+    }
+}
+
+/// The product of the matrix with these columns (one word each) and `x`.
+fn apply_columns(columns: &[u64], mut x: u64) -> u64 {
+    let mut y = 0;
+    while x != 0 {
+        y ^= columns[x.trailing_zeros() as usize];
+        x &= x - 1;
+    }
+    y
 }
 
 impl DreamScramblerApp {
@@ -47,6 +147,7 @@ impl DreamScramblerApp {
         let serial = StateSpaceLfsr::additive_scrambler(&spec.polynomial())?;
         let block = BlockSystem::new(&serial, m)?;
         let derby = DerbyTransform::new(&block)?;
+        let lane = ScramblerLane::new(m, &derby, serial);
 
         // Output network over [x_t | u]: rows = [C_stack·T | D_stack].
         let net_matrix = derby.output_matrix(&block);
@@ -69,9 +170,8 @@ impl DreamScramblerApp {
 
         Ok(DreamScramblerApp {
             spec: *spec,
-            m,
             derby,
-            serial,
+            lane,
             sim,
             control,
             stats,
@@ -85,7 +185,7 @@ impl DreamScramblerApp {
 
     /// The look-ahead factor (bits per fabric cycle).
     pub fn m(&self) -> usize {
-        self.m
+        self.lane.m()
     }
 
     /// Resource statistics of the single PGA operation.
@@ -112,7 +212,7 @@ impl DreamScramblerApp {
 
     /// Kernel-only peak throughput: M bits per cycle at the fabric clock.
     pub fn kernel_throughput_bps(&self) -> f64 {
-        self.m as f64 * self.sim.params().clock_hz
+        self.m() as f64 * self.sim.params().clock_hz
     }
 
     /// Scrambles one block-based frame from `seed`, returning the
@@ -120,34 +220,11 @@ impl DreamScramblerApp {
     /// (the operation is an involution for matching seeds).
     pub fn scramble(&mut self, seed: u64, data: &BitVec) -> (BitVec, RunReport) {
         self.sim.reset_counters();
-        let mut report = RunReport {
-            bits: data.len() as u64,
-            ..Default::default()
-        };
-        report.control_cycles += self.control.msg_setup_cycles + self.control.msg_finalize_cycles;
-
-        let seed_state = BitVec::from_u64(seed, self.derby.dim());
-        let x_t0 = self.derby.transform_state(&seed_state);
-
-        let full = data.len() / self.m;
-
+        let start = self.sim.counters();
         self.sim.switch_to(SCRAMBLER_SLOT).expect("loaded");
-        let (mut out, x_t) = self
-            .sim
-            .run_scrambler_blocks(&x_t0, data, full)
-            .expect("shape checked at build time");
-
-        // Tail bits on the processor.
-        let tail_len = data.len() - full * self.m;
-        if tail_len > 0 {
-            report.tail_cycles += (tail_len as u64).div_ceil(8) * self.control.tail_cycles_per_byte;
-            self.serial.set_state(self.derby.anti_transform_state(&x_t));
-            let y = self.serial.transduce(&data.slice(full * self.m, tail_len));
-            out = out.concat(&y);
-        }
-
-        report.picoga = self.sim.counters();
-        (out, report)
+        self.lane
+            .scramble(&mut self.sim, &self.control, seed, data, start)
+            .expect("shape checked at build time")
     }
 }
 
@@ -184,7 +261,7 @@ mod tests {
     #[test]
     fn matches_serial_scrambler_for_all_m() {
         let spec = ScramblerSpec::ieee80211();
-        for m in [8usize, 32, 64, 128] {
+        for m in [8usize, 16, 32, 64, 128] {
             let mut a = app(m);
             for bits in [0usize, 7, 64, 100, 1024] {
                 let data = frame(bits, 0xC0FFEE);

@@ -233,10 +233,10 @@ impl DreamSystem {
         x_t: &BitVec,
         residual: &BitVec,
     ) -> Result<(BitVec, RunReport), SystemError> {
-        let p = self
+        let dim = self
             .scrambler(name)
+            .map(|p| p.derby.dim())
             .ok_or_else(|| SystemError::UnknownPersonality { name: name.into() })?;
-        let dim = p.derby.dim();
         if x_t.len() != dim {
             return Err(SystemError::StateWidthMismatch {
                 got: x_t.len(),
@@ -249,10 +249,8 @@ impl DreamSystem {
         }
         report.tail_cycles +=
             (residual.len() as u64).div_ceil(8) * self.control_model().tail_cycles_per_byte;
-        let plain = p.derby.anti_transform_state(x_t);
-        let tail = self.tail_engine(name).expect("registered");
-        tail.set_state(plain);
-        Ok((tail.transduce(residual), report))
+        let lane = self.scrambler_lane(name).expect("registered");
+        Ok((lane.tail(x_t.to_u64(), residual), report))
     }
 
     /// Marshals a transformed stream state into the plain domain
@@ -354,21 +352,49 @@ mod tests {
         assert_eq!(crc, crc_bitwise(&spec, &data));
     }
 
+    /// The CRC and the scrambler feeds refuse a chunk that is not whole
+    /// blocks and a state of the wrong width; the finishes refuse the
+    /// state too.
     #[test]
     fn misaligned_and_mismatched_feeds_are_typed_errors() {
         let mut sys = crc_system(32);
-        let x_t = sys.crc_stream_begin("eth").unwrap();
-        assert!(matches!(
-            sys.crc_stream_feed("eth", &x_t, &BitVec::zeros(33)),
-            Err(SystemError::BlockMisaligned { len: 33, m: 32 })
-        ));
-        assert!(matches!(
-            sys.crc_stream_feed("eth", &BitVec::zeros(31), &BitVec::zeros(32)),
-            Err(SystemError::StateWidthMismatch {
-                got: 31,
-                expected: 32
-            })
-        ));
+        sys.register_scrambler(crate::system::tests::wifi_scrambler(16))
+            .unwrap();
+        let crc = sys.crc_stream_begin("eth").unwrap();
+        let scr = sys.scramble_stream_begin("wifi", 0x5D).unwrap();
+        // (personality, a valid state, M, k)
+        for (name, x_t, m, k) in [("eth", crc, 32, 32), ("wifi", scr, 16, 7)] {
+            let scrambler = name == "wifi";
+            let feed = |sys: &mut DreamSystem, x: &BitVec, bits: &BitVec| {
+                if scrambler {
+                    sys.scramble_stream_feed(name, x, bits).map(drop)
+                } else {
+                    sys.crc_stream_feed(name, x, bits).map(drop)
+                }
+            };
+            let finish = |sys: &mut DreamSystem, x: &BitVec| {
+                if scrambler {
+                    sys.scramble_stream_finish(name, x, &BitVec::zeros(3))
+                        .map(drop)
+                } else {
+                    sys.crc_stream_finish(name, x, &BitVec::zeros(3)).map(drop)
+                }
+            };
+            let len = m + 1;
+            assert_eq!(
+                feed(&mut sys, &x_t, &BitVec::zeros(len)),
+                Err(SystemError::BlockMisaligned { len, m }),
+                "{name}"
+            );
+            for got in [k - 1, k + 1] {
+                let wrong = SystemError::StateWidthMismatch { got, expected: k };
+                let x = BitVec::zeros(got);
+                assert_eq!(feed(&mut sys, &x, &BitVec::zeros(m)), Err(wrong.clone()));
+                assert_eq!(finish(&mut sys, &x), Err(wrong), "{name}");
+            }
+            assert_eq!(feed(&mut sys, &x_t, &BitVec::zeros(m)), Ok(()), "{name}");
+            assert_eq!(finish(&mut sys, &x_t), Ok(()), "{name}");
+        }
         assert!(matches!(
             sys.crc_stream_begin("ghost"),
             Err(SystemError::UnknownPersonality { .. })

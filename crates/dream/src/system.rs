@@ -14,6 +14,7 @@
 //! concrete at the system level.
 
 use crate::perf::{ControlModel, RunReport};
+use crate::scrambler_app::ScramblerLane;
 use gf2::BitVec;
 use lfsr::crc::{crc_bitwise, message_bits_into, reflect, CrcSpec, SoftwareKernel};
 use lfsr::scramble::{AdditiveScrambler, ScramblerSpec};
@@ -288,8 +289,11 @@ pub struct DreamSystem {
     scramblers: HashMap<String, ScramblerPersonality>,
     slots: Vec<Option<SlotState>>,
     use_clock: u64,
-    /// Serial tail engines per personality (software side).
+    /// Serial tail engines per CRC personality (software side).
     tails: HashMap<String, StateSpaceLfsr>,
+    /// The host half of each scrambler personality: packed seed and
+    /// state maps, and its serial tail engine.
+    lanes: HashMap<String, ScramblerLane>,
     /// The state every message of a CRC personality starts from, one
     /// word (CRC widths are at most 64): the spec's init register,
     /// transformed (`T⁻¹·init`) for Derby personalities. Set by
@@ -359,6 +363,7 @@ impl DreamSystem {
             slots: vec![None; contexts],
             use_clock: 0,
             tails: HashMap::new(),
+            lanes: HashMap::new(),
             starts: HashMap::new(),
             msg_bits: BitVec::default(),
             health: HashMap::new(),
@@ -455,7 +460,8 @@ impl DreamSystem {
                 source,
             }
         })?;
-        self.tails.insert(p.name.clone(), tail);
+        let lane = ScramblerLane::new(p.m, &p.derby, tail);
+        self.lanes.insert(p.name.clone(), lane);
         self.scramblers.insert(p.name.clone(), p);
         Ok(())
     }
@@ -475,44 +481,19 @@ impl DreamSystem {
         seed: u64,
         data: &BitVec,
     ) -> Result<(BitVec, RunReport), SystemError> {
-        let (m, dim) = self
+        let dim = self
             .scramblers
             .get(name)
-            .map(|p| (p.m, p.derby.dim()))
+            .map(|p| p.derby.dim())
             .ok_or_else(|| SystemError::UnknownPersonality { name: name.into() })?;
         if data.is_empty() {
             return Err(SystemError::EmptyInput { name: name.into() });
         }
         check_seed(name, seed, dim)?;
         let start = self.sim.counters();
-        let mut report = RunReport {
-            bits: data.len() as u64,
-            control_cycles: self.control.msg_setup_cycles + self.control.msg_finalize_cycles,
-            ..Default::default()
-        };
-        let full = data.len() / m;
-
         self.ensure_scrambler_resident(name)?;
-        let p = &self.scramblers[name];
-        let x_t0 = p.derby.transform_state(&BitVec::from_u64(seed, dim));
-        let (mut out, x_t) = self.sim.run_scrambler_blocks(&x_t0, data, full)?;
-
-        let tail_len = data.len() - full * m;
-        if tail_len > 0 {
-            report.tail_cycles += (tail_len as u64).div_ceil(8) * self.control.tail_cycles_per_byte;
-            let tail_sys = self.tails.get_mut(name).expect("registered");
-            tail_sys.set_state(p.derby.anti_transform_state(&x_t));
-            let y = tail_sys.transduce(&data.slice(full * m, tail_len));
-            out = out.concat(&y);
-        }
-
-        let end = self.sim.counters();
-        report.picoga = picoga::CycleCounters {
-            compute: end.compute - start.compute,
-            context_switch: end.context_switch - start.context_switch,
-            context_load: end.context_load - start.context_load,
-        };
-        Ok((out, report))
+        let lane = self.lanes.get_mut(name).expect("registered");
+        Ok(lane.scramble(&mut self.sim, &self.control, seed, data, start)?)
     }
 
     fn ensure_scrambler_resident(&mut self, name: &str) -> Result<usize, SystemError> {
@@ -1179,9 +1160,14 @@ impl DreamSystem {
         self.starts.get(name).copied()
     }
 
-    /// The serial tail engine of a registered personality.
+    /// The serial tail engine of a registered CRC personality.
     pub(crate) fn tail_engine(&mut self, name: &str) -> Option<&mut StateSpaceLfsr> {
         self.tails.get_mut(name)
+    }
+
+    /// The host half of a registered scrambler personality.
+    pub(crate) fn scrambler_lane(&mut self, name: &str) -> Option<&mut ScramblerLane> {
+        self.lanes.get_mut(name)
     }
 }
 
@@ -1374,7 +1360,7 @@ pub(crate) mod tests {
     }
 
     /// Builds the 802.11 scrambler personality (mirrors the flow).
-    fn wifi_scrambler(m: usize) -> ScramblerPersonality {
+    pub(crate) fn wifi_scrambler(m: usize) -> ScramblerPersonality {
         use lfsr::scramble::ScramblerSpec;
         let sspec = ScramblerSpec::ieee80211();
         let serial = StateSpaceLfsr::additive_scrambler(&sspec.polynomial()).unwrap();

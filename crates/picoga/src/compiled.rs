@@ -10,11 +10,11 @@
 //! inputs end, so the stream loops feed the state and the data block
 //! from separate words: `y = c ⊕ S·x ⊕ D·u`.
 //!
-//! A CRC update whose block width M divides 64 may also get a
-//! [`WordTable`]: `L = 64/M` issues composed into one step per 64-bit
-//! word of a packed message. It is derived from the data table and the
-//! feedback row, built only once the compile has streamed enough blocks
-//! to pay for it, and dies with the compile.
+//! A CRC update or a scrambler whose block width M divides 64 may also
+//! get a [`WordTable`]: `L = 64/M` issues composed into one step per
+//! 64-bit word of a packed message. It is derived from the compile's
+//! tables and the feedback row, built only once the compile has streamed
+//! enough blocks to pay for it, and dies with the compile.
 
 use crate::op::{CompanionFeedback, PgaOperation};
 use crate::tape::{scatter, Tape};
@@ -32,7 +32,7 @@ pub(crate) struct Compiled {
     pub(crate) state: AffineTable,
     /// `u ↦ c ⊕ D·u` over the data inputs (the rest).
     pub(crate) data: AffineTable,
-    /// The word table of a CRC update, once built.
+    /// The word table of a CRC update or a scrambler, once built.
     word: OnceLock<WordTable>,
     /// Blocks packed streams have run through the per-block loop of this
     /// compile while it had no word table.
@@ -95,20 +95,30 @@ impl Compiled {
         self.data.out_words()
     }
 
-    /// The word table of this CRC update compile (feedback `fb`), for a
-    /// packed stream of `n` more blocks. It is built once the blocks
-    /// packed streams have run block by block through this compile,
-    /// these `n` included, reach its entry count: rent until the rent
-    /// paid equals the price. `None` before then, and for an operation
-    /// that has none (k > 64, M ≥ 64, or M not dividing 64).
+    /// The word table of this CRC update or scrambler compile (feedback
+    /// `fb`), for a packed stream of `n` more blocks. It is built once
+    /// the blocks packed streams have run block by block through this
+    /// compile, these `n` included, reach its entry count: rent until the
+    /// rent paid equals the price. `None` before then, and for an
+    /// operation that has none (k > 64, M ≥ 64, M not dividing 64, or a
+    /// scrambler whose blocks do not yield M output bits).
     pub(crate) fn word_table(&self, fb: &CompanionFeedback, n: usize) -> Option<&WordTable> {
         if let Some(t) = self.word.get() {
             return Some(t);
         }
         let m = self.data.n_inputs();
-        let entries = WordTable::entries(fb.k, m)?;
+        // A scrambler reads its state through the state table; a CRC
+        // update's state passes through the feedback row alone.
+        let keyed = self.state.n_inputs() > 0;
+        if keyed && self.data.n_outputs() != m {
+            return None;
+        }
+        let entries = WordTable::entries(fb.k, m, keyed)?;
         let streamed = self.streamed.fetch_add(n, Ordering::Relaxed) + n;
-        (streamed >= entries).then(|| self.word.get_or_init(|| WordTable::new(&self.data, fb)))
+        (streamed >= entries).then(|| {
+            self.word
+                .get_or_init(|| WordTable::new(&self.state, &self.data, fb))
+        })
     }
 
     /// Whether the word table has been built.
@@ -118,20 +128,30 @@ impl Compiled {
     }
 }
 
-/// `L = 64/M` issues of a CRC update composed into one step per 64-bit
-/// message word.
+/// `L = 64/M` issues of a CRC update or a scrambler composed into one
+/// step per 64-bit message word.
 ///
-/// One issue is `s ← A·s ⊕ c ⊕ D·u_b`, with `A` the feedback row's
+/// One CRC issue is `s ← A·s ⊕ c ⊕ D·u_b`, with `A` the feedback row's
 /// companion matrix and `c ⊕ D·u_b` the data table's answer to block
 /// `b`. `L` of them give
 /// `s ← A^L·s ⊕ Σ_{i<L} A^{L−1−i}·(c ⊕ D·u_i)`: an affine map of the
 /// message word (block `i` is its bits `[i·M, (i + 1)·M)`), kept as
-/// eight byte tables, plus `A^L·s`. The state bits below `k − h`,
-/// `h = min(L, k)`, only shift up by `L` under `A^L`; the top `h` go
-/// through byte tables of their own — Sarwate's table, `L` bits at a
-/// time. So the loop-carried chain is a shift, one lookup (`h ≤ 8`) and
-/// the XORs. The columns come from the compile's data table, so the
-/// composite is exact for every configuration the fault model produces.
+/// eight byte tables, plus `A^L·s`.
+///
+/// One scrambler issue outputs `y_b = c ⊕ D·u_b ⊕ S·x_b` (`S` the state
+/// table) and steps `x_{b+1} = A·x_b`; no data enters the state. `L` of
+/// them write the output word `Σ_{i<L} (c ⊕ D·u_i ⊕ S·A^i·x) << i·M` and
+/// leave `A^L·x`: the same eight byte tables over the message word (each
+/// block's answer at its own place in the word), keystream byte tables
+/// over the state whose column `j` is `Σ_{i<L} S·A^i·e_j << i·M`, and
+/// `A^L·x`. For the 802.11 scrambler at M = 16 that is 2,560 entries.
+///
+/// `A^L` on the state: the bits below `k − h`, `h = min(L, k)`, only
+/// shift up by `L`; the top `h` go through byte tables of their own —
+/// Sarwate's table, `L` bits at a time. So the loop-carried chain is a
+/// shift, one lookup (`h ≤ 8`) and the XORs. The columns come from the
+/// compile's own tables, so the composite is exact for every
+/// configuration the fault model produces.
 #[derive(Debug)]
 pub(crate) struct WordTable {
     /// Blocks per word, `L`.
@@ -143,37 +163,52 @@ pub(crate) struct WordTable {
     /// entries per byte of them.
     top_at: u32,
     top: Vec<[u64; 256]>,
-    /// `w ↦ Σ_{i<L} A^{L−1−i}·(c ⊕ D·u_i)`, 256 entries per byte of the
-    /// message word; the constant term is folded into byte 0's entries.
+    /// The data term of the word, 256 entries per byte of the message
+    /// word; the constant term is folded into byte 0's entries.
     data: Box<[[u64; 256]; 8]>,
+    /// A scrambler's keystream `x ↦ Σ_{i<L} S·A^i·x << i·M`, 256 entries
+    /// per byte of the state; empty for a CRC update.
+    key: Vec<[u64; 256]>,
 }
 
 impl WordTable {
     /// The entries of the table a `k`-bit state and `m`-bit blocks get,
-    /// or `None` when they get none.
-    pub(crate) fn entries(k: usize, m: usize) -> Option<usize> {
+    /// with keystream tables when `keyed` (a scrambler), or `None` when
+    /// they get none.
+    pub(crate) fn entries(k: usize, m: usize, keyed: bool) -> Option<usize> {
         let fits = (1..=64).contains(&k) && m < 64 && 64 % m == 0;
-        fits.then(|| 256 * (8 + (64 / m).min(k).div_ceil(8)))
+        let key = if keyed { k.div_ceil(8) } else { 0 };
+        fits.then(|| 256 * (8 + key + (64 / m).min(k).div_ceil(8)))
     }
 
     /// Composes the issues of the data table `data` (`c ⊕ D·u` over one
-    /// block) and the feedback row `fb`.
-    fn new(data: &AffineTable, fb: &CompanionFeedback) -> WordTable {
+    /// block), the state table `state` (`S`; it reads no input for a CRC
+    /// update) and the feedback row `fb`.
+    fn new(state: &AffineTable, data: &AffineTable, fb: &CompanionFeedback) -> WordTable {
         let (k, m) = (fb.k, data.n_inputs());
         let l = 64 / m;
         let step = fb.word_step();
         let pow = |v: u64, e: usize| (0..e).fold(v, |v, _| step(v, 0));
         let c = data.apply_word(|_| 0);
-        // Word bit i·M + t enters block i as D·e_t, which the L − 1 − i
-        // later issues carry on.
-        let columns: Vec<u64> = (0..64)
-            .map(|j| pow(data.apply_word(|_| 1 << (j % m)) ^ c, l - 1 - j / m))
-            .collect();
+        let d = |j: usize| data.apply_word(|_| 1 << (j % m)) ^ c;
+        let (columns, offset, key): (Vec<u64>, u64, Vec<u64>) = if state.n_inputs() > 0 {
+            // Block i's output is bits [i·M, (i + 1)·M) of the output word.
+            let at = |i: usize, y: u64| y << (i * m);
+            let key = (0..k)
+                .map(|j| (0..l).fold(0, |y, i| y ^ at(i, state.apply_word(|_| pow(1 << j, i)))))
+                .collect();
+            let columns = (0..64).map(|j| at(j / m, d(j))).collect();
+            (columns, (0..l).fold(0, |y, i| y ^ at(i, c)), key)
+        } else {
+            // Word bit i·M + t enters block i as D·e_t, which the L − 1 − i
+            // later issues carry on.
+            let columns = (0..64).map(|j| pow(d(j), l - 1 - j / m)).collect();
+            (columns, (0..l).fold(0, |s, _| step(s, c)), Vec::new())
+        };
         let mut bytes: Box<[[u64; 256]; 8]> = byte_tables(&columns)
             .into_boxed_slice()
             .try_into()
             .expect("a word has eight bytes");
-        let offset = (0..l).fold(0, |s, _| step(s, c));
         for e in &mut bytes[0] {
             *e ^= offset;
         }
@@ -186,6 +221,7 @@ impl WordTable {
             top_at: (k - h) as u32,
             top: byte_tables(&top),
             data: bytes,
+            key: byte_tables(&key),
         }
     }
 
@@ -194,16 +230,38 @@ impl WordTable {
         self.blocks
     }
 
-    /// The state after the `L` blocks of message word `w`, from `s`.
+    /// A CRC update's state after the `L` blocks of message word `w`,
+    /// from `s`.
     #[inline]
     pub(crate) fn step(&self, s: u64, w: u64) -> u64 {
+        let mut y = self.advance(s);
+        for (g, e) in self.data.iter().enumerate() {
+            y ^= e[((w >> (8 * g)) & 0xFF) as usize];
+        }
+        y
+    }
+
+    /// A scrambler's output word for message word `w` from state `s`, and
+    /// its state `L` blocks on.
+    #[inline]
+    pub(crate) fn scramble(&self, s: u64, w: u64) -> (u64, u64) {
+        let mut y = 0;
+        for (g, e) in self.data.iter().enumerate() {
+            y ^= e[((w >> (8 * g)) & 0xFF) as usize];
+        }
+        for (g, e) in self.key.iter().enumerate() {
+            y ^= e[((s >> (8 * g)) & 0xFF) as usize];
+        }
+        (y, self.advance(s))
+    }
+
+    /// `A^L·s`.
+    #[inline]
+    fn advance(&self, s: u64) -> u64 {
         let t = s >> self.top_at;
         let mut y = (s & self.low) << self.shift;
         for (g, e) in self.top.iter().enumerate() {
             y ^= e[((t >> (8 * g)) & 0xFF) as usize];
-        }
-        for (g, e) in self.data.iter().enumerate() {
-            y ^= e[((w >> (8 * g)) & 0xFF) as usize];
         }
         y
     }
@@ -211,7 +269,10 @@ impl WordTable {
     /// Heap bytes of the tables.
     #[cfg(test)]
     pub(crate) fn heap_bytes(&self) -> usize {
-        std::mem::size_of_val(&*self.data) + std::mem::size_of_val(&self.top[..])
+        [&self.data[..], &self.top, &self.key]
+            .iter()
+            .map(|t| std::mem::size_of_val(*t))
+            .sum()
     }
 }
 

@@ -19,6 +19,7 @@ use crate::op::{OpStats, PgaOperation};
 use gf2::BitVec;
 use obs::{EventKind, ObsHub};
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 #[cfg(test)]
 use {crate::op::Placement, xornet::XorNetwork};
@@ -528,9 +529,9 @@ impl PicogaSim {
         self.pending_load_faults.push(corruption);
     }
 
-    /// Applies a whole [`FaultPlan`]: injects every configuration fault
-    /// and arms every load corruption. Stops at the first invalid
-    /// coordinate (faults before it stay applied).
+    /// Applies a whole [`FaultPlan`](crate::FaultPlan): injects every
+    /// configuration fault and arms every load corruption. Stops at the
+    /// first invalid coordinate (faults before it stay applied).
     ///
     /// # Errors
     ///
@@ -1089,17 +1090,20 @@ impl PicogaSim {
         if let Some(e) = err {
             return Err(e);
         }
-        Ok(self.scrambler_stream(x_t, blocks.len(), listed(&blocks)))
+        Ok(self.scrambler_stream(x_t, blocks.len(), listed(&blocks), None))
     }
 
     /// [`PicogaSim::run_scrambler_stream`] over the first `n` M-bit
-    /// blocks of a packed bit stream.
+    /// blocks of a packed bit stream. Once the context's compile has a
+    /// word table, the stream's whole 64-bit words take one table sweep
+    /// each, writing one output word, and the blocks after them go one
+    /// at a time; the cycles charged are the same.
     ///
     /// # Errors
     ///
     /// Shape mismatches per [`SimError`];
     /// [`SimError::InputWidthMismatch`] when `bits` is shorter than
-    /// `n` blocks.
+    /// `n` blocks or `x_t` is not k bits.
     pub fn run_scrambler_blocks(
         &mut self,
         x_t: &BitVec,
@@ -1109,7 +1113,26 @@ impl PicogaSim {
         let m = self.scrambler_width()?;
         check_packed(bits, n, m)?;
         self.check_state(x_t)?;
-        Ok(self.scrambler_stream(x_t, n, packed(bits, m)))
+        Ok(self.scrambler_stream(x_t, n, packed(bits, m), Some(bits.words())))
+    }
+
+    /// [`PicogaSim::run_scrambler_blocks`] for a state of at most 64
+    /// bits, taken and returned in one word (bit `i` is state bit `i`):
+    /// only the output is allocated.
+    ///
+    /// # Errors
+    ///
+    /// As [`PicogaSim::run_scrambler_blocks`]; [`SimError::WrongOpShape`]
+    /// when the state is wider than a word.
+    pub fn run_scrambler_blocks_word(
+        &mut self,
+        x_t: u64,
+        bits: &BitVec,
+        n: usize,
+    ) -> Result<(BitVec, u64), SimError> {
+        let m = self.scrambler_width()?;
+        check_packed(bits, n, m)?;
+        self.scrambler_stream_word(x_t, n, packed(bits, m), Some(bits.words()))
     }
 
     /// Checks that start state `x_t` has the k bits of the active CRC
@@ -1134,52 +1157,116 @@ impl PicogaSim {
             })
     }
 
-    /// Block by block: the output over the tables on `[x_t | u]`, written
-    /// straight into the result, then one autonomous step of the state
-    /// (no data enters the loop).
+    /// The scrambler over `n` blocks from transformed state `x_t`: the
+    /// output bits and the final state. `stream` holds the words of a
+    /// packed stream, which may take the word table (see
+    /// [`PicogaSim::scrambler_stream_word`]).
     fn scrambler_stream(
         &mut self,
         x_t: &BitVec,
         n: usize,
         word: impl Fn(usize, usize) -> u64,
+        stream: Option<&[u64]>,
     ) -> (BitVec, BitVec) {
-        if n == 0 {
-            return (BitVec::zeros(0), x_t.clone());
+        let k = x_t.len();
+        if k <= 64 {
+            let (out, s) = self
+                .scrambler_stream_word(x_t.word_at(0), n, word, stream)
+                .expect("shape checked");
+            return (out, BitVec::from_u64(s, k));
         }
         let (ctx, scratch) = self.active_parts().expect("shape checked");
-        let fb = ctx.op.feedback().expect("scrambler has feedback");
-        let code = &ctx.code;
-        let (k, width) = (fb.k, code.data.n_outputs());
+        let width = ctx.code.data.n_outputs();
         let mut state = state_words(x_t, k);
+        let zero = vec![0; state.len()];
         let mut out = vec![0u64; (n * width).div_ceil(64)];
-        if let ([x], 1) = (state.as_mut_slice(), code.out_words()) {
-            let step = fb.word_step();
-            let mut s = *x;
-            for b in 0..n {
-                let y = code.data.apply_word(|g| word(b, g)) ^ code.state.apply_word(|_| s);
-                put_bits(&mut out, b * width, y);
-                s = step(s, 0);
-            }
-            *x = s;
-        } else {
-            let zero = vec![0u64; state.len()];
-            let y = &mut scratch.out;
-            y.resize(code.out_words(), 0);
-            for b in 0..n {
-                code.data.apply_with(|g| word(b, g), y);
-                code.state.xor_product(&state, y);
-                for (g, &v) in y.iter().enumerate() {
-                    put_bits(&mut out, b * width + 64 * g, v);
-                }
-                fb.step_words(&mut state, &zero);
-            }
-        }
+        let y = &mut scratch.out;
+        scrambler_blocks(ctx, &mut state, &zero, y, &mut out, 0..n, word);
         let stats = ctx.op.stats();
         self.charge_stream(stats, n as u64);
         (
             BitVec::from_words(out, n * width),
             BitVec::from_words(state, k),
         )
+    }
+
+    /// [`PicogaSim::scrambler_stream`] for a state of at most 64 bits. A
+    /// packed stream (`stream`: its words, `L` blocks to a word) runs
+    /// its whole words through the compile's word table when it has
+    /// one, each writing one output word, and the rest block by block;
+    /// a list of blocks always runs block by block.
+    fn scrambler_stream_word(
+        &mut self,
+        x_t: u64,
+        n: usize,
+        word: impl Fn(usize, usize) -> u64,
+        stream: Option<&[u64]>,
+    ) -> Result<(BitVec, u64), SimError> {
+        let (ctx, scratch) = self.active_parts()?;
+        let fb = ctx.op.feedback().expect("scrambler has feedback");
+        if fb.k > 64 {
+            return Err(ONE_WORD);
+        }
+        let mut s = x_t & (u64::MAX >> (64 - fb.k));
+        let code = &ctx.code;
+        let width = code.data.n_outputs();
+        let mut out = vec![0u64; (n * width).div_ceil(64)];
+        let mut done = 0;
+        if let Some(words) = stream {
+            if let Some(table) = code.word_table(fb, n) {
+                let whole = n / table.blocks();
+                for (y, &w) in out.iter_mut().zip(&words[..whole]) {
+                    (*y, s) = table.scramble(s, w);
+                }
+                done = whole * table.blocks();
+            }
+        }
+        let state = std::slice::from_mut(&mut s);
+        scrambler_blocks(ctx, state, &[0], &mut scratch.out, &mut out, done..n, word);
+        let stats = ctx.op.stats();
+        self.charge_stream(stats, n as u64);
+        Ok((BitVec::from_words(out, n * width), s))
+    }
+}
+
+/// The per-block loop of the scrambler in `ctx` over `blocks`: each
+/// block's output `c ⊕ D·u_b ⊕ S·x_b` from the tables, written into
+/// `out` at bit `b·width`, then one autonomous step of the state words
+/// (`zero` is as long as `state`; no data enters the loop). `y` holds
+/// one output.
+fn scrambler_blocks(
+    ctx: &Context,
+    state: &mut [u64],
+    zero: &[u64],
+    y: &mut Vec<u64>,
+    out: &mut [u64],
+    blocks: Range<usize>,
+    word: impl Fn(usize, usize) -> u64,
+) {
+    let (code, fb) = (
+        &ctx.code,
+        ctx.op.feedback().expect("scrambler has feedback"),
+    );
+    let width = code.data.n_outputs();
+    if let ([x], 1) = (&mut *state, code.out_words()) {
+        let step = fb.word_step();
+        let mut s = *x;
+        for b in blocks {
+            let y = code.data.apply_word(|g| word(b, g)) ^ code.state.apply_word(|_| s);
+            put_bits(out, b * width, y);
+            s = step(s, 0);
+        }
+        *x = s;
+        return;
+    }
+    y.resize(code.out_words(), 0);
+    for b in blocks {
+        code.data.apply_with(|g| word(b, g), y);
+        code.state.xor_product(state, y);
+        for (g, &v) in y.iter().enumerate() {
+            put_bits(out, b * width + 64 * g, v);
+        }
+        fb.step_words(state, zero);
     }
 }
 
@@ -1918,32 +2005,63 @@ mod tests {
                 .collect()
         }
 
+        /// Scramblers over `m`-bit blocks, one per state width of the
+        /// catalogue: the 802.11 (k = 7), DVB (15), PRBS23 and PRBS31
+        /// generators, each with a random output network over `[x | u]`.
+        fn scramblers(rng: &mut Rng, m: usize) -> Vec<PgaOperation> {
+            [0x91, 0xC001, 0x84_0001, 0x9000_0001]
+                .into_iter()
+                .map(|poly| {
+                    let a = BitMat::companion(&Gf2Poly::from_u64(poly));
+                    let k = a.rows();
+                    let net = synthesize(&rng.matrix(m, k + m), SynthOptions::default());
+                    PgaOperation::scrambler(format!("scr{k}"), net, &a, m, &roomy()).unwrap()
+                })
+                .collect()
+        }
+
+        /// Runs the first `n` packed blocks of `bits` through the CRC
+        /// update or scrambler in slot 0 from the zero state, through the
+        /// one-word entry point when `one_word`.
+        fn run_packed(sim: &mut PicogaSim, bits: &BitVec, n: usize, one_word: bool) {
+            let op = sim.context(0).unwrap();
+            let x0 = BitVec::zeros(op.feedback().unwrap().k);
+            match (op.is_crc_update(), one_word) {
+                (true, true) => sim.run_crc_blocks_word(0, bits, n).map(drop),
+                (true, false) => sim.run_crc_blocks(&x0, bits, n).map(drop),
+                (false, true) => sim.run_scrambler_blocks_word(0, bits, n).map(drop),
+                (false, false) => sim.run_scrambler_blocks(&x0, bits, n).map(drop),
+            }
+            .unwrap();
+        }
+
         /// Streams packed blocks through the fresh compile in slot 0 up
         /// to its word table's build point: one block short of it there
         /// is no table, at it there is one. Returns whether the
         /// operation gets a table at all.
         fn drive_to_build_point(sim: &mut PicogaSim, rng: &mut Rng, m: usize) -> bool {
-            let k = sim.context(0).unwrap().feedback().unwrap().k;
+            let op = sim.context(0).unwrap();
+            let (k, keyed) = (op.feedback().unwrap().k, !op.is_crc_update());
             assert!(!code(sim).has_word_table(), "a fresh compile has none");
-            let Some(entries) = WordTable::entries(k, m) else {
-                let bits = rng.bits(4096 * m);
-                sim.run_crc_blocks(&BitVec::zeros(k), &bits, 4096).unwrap();
+            let Some(entries) = WordTable::entries(k, m, keyed) else {
+                run_packed(sim, &rng.bits(4096 * m), 4096, false);
                 assert!(!code(sim).has_word_table());
                 return false;
             };
             let bits = rng.bits(entries * m);
-            sim.run_crc_blocks_word(0, &bits, entries - 1).unwrap();
+            run_packed(sim, &bits, entries - 1, true);
             assert!(!code(sim).has_word_table(), "one block short");
             assert_eq!(sim.compile_is_exact(0), Some(true));
-            sim.run_crc_blocks(&BitVec::zeros(k), &bits, 1).unwrap();
+            run_packed(sim, &bits, 1, false);
             assert!(code(sim).has_word_table(), "built at the build point");
             assert_eq!(sim.compile_is_exact(0), Some(true));
             true
         }
 
-        /// The packed, one-word and listed entry points against the
-        /// gate-at-a-time oracle on `n` random blocks, for every `n`
-        /// around a word of `L` blocks, with the cycles each charges.
+        /// The packed, one-word and listed entry points of the CRC
+        /// update or scrambler in slot 0 against the gate-at-a-time
+        /// oracle on `n` random blocks, for every `n` around a word of
+        /// `L` blocks, with the cycles each charges.
         fn check_word_path(sim: &mut PicogaSim, rng: &mut Rng, m: usize) {
             let op = sim.context(0).unwrap().clone();
             let fb = op.feedback().unwrap().clone();
@@ -1953,37 +2071,60 @@ mod tests {
                 let blocks: Vec<BitVec> = (0..n).map(|_| rng.bits(m)).collect();
                 let bits = packed(&blocks);
                 let x0 = rng.bits(fb.k);
-                let want = blocks
-                    .iter()
-                    .fold(x0.clone(), |x, b| fb.apply(&x, &oracle(sim, b)));
                 let cycles = if n == 0 {
                     0
                 } else {
                     op.stats().latency + n as u64 - 1
                 };
                 sim.reset_counters();
-                assert_eq!(sim.run_crc_blocks(&x0, &bits, n).unwrap(), want, "{what}");
-                assert_eq!(sim.counters().compute, cycles, "{what}");
-                sim.reset_counters();
-                let word = sim.run_crc_blocks_word(x0.to_u64(), &bits, n).unwrap();
-                assert_eq!(word, want.to_u64(), "{what} one-word");
-                assert_eq!(sim.counters().compute, cycles, "{what} one-word");
-                let listed = sim.run_crc_stream(&x0, blocks.iter()).unwrap();
-                assert_eq!(listed, want, "{what} listed");
+                if op.is_crc_update() {
+                    let want = blocks
+                        .iter()
+                        .fold(x0.clone(), |x, b| fb.apply(&x, &oracle(sim, b)));
+                    assert_eq!(sim.run_crc_blocks(&x0, &bits, n).unwrap(), want, "{what}");
+                    assert_eq!(sim.counters().compute, cycles, "{what}");
+                    sim.reset_counters();
+                    let word = sim.run_crc_blocks_word(x0.to_u64(), &bits, n).unwrap();
+                    assert_eq!(word, want.to_u64(), "{what} one-word");
+                    assert_eq!(sim.counters().compute, cycles, "{what} one-word");
+                    let listed = sim.run_crc_stream(&x0, blocks.iter()).unwrap();
+                    assert_eq!(listed, want, "{what} listed");
+                } else {
+                    let (mut out, mut x) = (BitVec::zeros(0), x0.clone());
+                    for b in &blocks {
+                        out = out.concat(&oracle(sim, &x.concat(b)));
+                        x = fb.apply(&x, &BitVec::zeros(fb.k));
+                    }
+                    let want = (out, x);
+                    let got = sim.run_scrambler_blocks(&x0, &bits, n).unwrap();
+                    assert_eq!(got, want, "{what}");
+                    assert_eq!(sim.counters().compute, cycles, "{what}");
+                    sim.reset_counters();
+                    let (out, s) = sim
+                        .run_scrambler_blocks_word(x0.to_u64(), &bits, n)
+                        .unwrap();
+                    assert_eq!((&out, s), (&want.0, want.1.to_u64()), "{what} one-word");
+                    assert_eq!(sim.counters().compute, cycles, "{what} one-word");
+                    let listed = sim.run_scrambler_stream(&x0, blocks.iter()).unwrap();
+                    assert_eq!(listed, want, "{what} listed");
+                }
             }
         }
 
         /// Word tables against the gate-at-a-time evaluator, through the
-        /// packed and one-word entry points, at M ∈ {8, 16, 32} and
-        /// k ∈ {5, 8, 16, 32}: pristine, under random wire flips (some
-        /// reading later-row gates), tap flips and stuck cells, and
-        /// under an armed load corruption. M = 128 never gets a table.
+        /// packed, one-word and listed entry points, at M ∈ {8, 16, 32}:
+        /// CRC updates at k ∈ {5, 8, 16, 32} and scramblers at
+        /// k ∈ {7, 15, 23, 31}, pristine, under random wire flips (some
+        /// reading later-row gates), tap flips and stuck cells, and under
+        /// an armed load corruption. M = 128 never gets a table.
         #[test]
         fn word_tables_match_the_row_evaluator_under_faults() {
             let mut rng = Rng(0x0057_0D0C_A5E5);
             let mut forward = 0;
             for m in [8, 16, 32, 128] {
-                for op in crc_updates(&mut rng, m) {
+                let mut ops = crc_updates(&mut rng, m);
+                ops.extend(scramblers(&mut rng, m));
+                for op in ops {
                     for round in 0..3 {
                         let mut sim = PicogaSim::new(roomy());
                         if round == 2 {
@@ -2005,18 +2146,23 @@ mod tests {
                         let built = drive_to_build_point(&mut sim, &mut rng, m);
                         assert_eq!(built, m < 64, "{} m{m}", op.name());
                         if built {
-                            let k = op.feedback().unwrap().k;
+                            let fb = op.feedback().unwrap();
                             let code = code(&sim);
-                            let table = code.word_table(op.feedback().unwrap(), 0).unwrap();
-                            let top = (64 / m).min(k).div_ceil(8);
-                            assert_eq!(table.heap_bytes(), 2048 * (8 + top));
+                            let table = code.word_table(fb, 0).unwrap();
+                            let top = (64 / m).min(fb.k).div_ceil(8);
+                            let key = if op.is_crc_update() {
+                                0
+                            } else {
+                                fb.k.div_ceil(8)
+                            };
+                            assert_eq!(table.heap_bytes(), 2048 * (8 + key + top));
                         }
                         check_word_path(&mut sim, &mut rng, m);
                     }
                 }
             }
             assert!(
-                forward > 5,
+                forward > 10,
                 "flips reading later-placed gates were exercised"
             );
         }
@@ -2025,32 +2171,54 @@ mod tests {
         /// under the placement, `clear_stuck_cells` and a wire flip
         /// (which copies the configuration) each leave the resident
         /// compile without one; the next is built at the build point
-        /// again and matches the oracle.
+        /// again and matches the oracle. Evicting the context and
+        /// reloading an operation that shares its configuration keeps
+        /// the compile, table included.
         #[test]
         fn word_tables_follow_every_recompile() {
             let mut rng = Rng(0x5EED_0016);
             for m in [8, 16, 32] {
-                let op = crc_updates(&mut rng, m).swap_remove(3);
-                let mut sim = PicogaSim::new(roomy());
-                sim.load_context(0, op.clone()).unwrap();
-                sim.switch_to(0).unwrap();
-                let stuck = ConfigFault::StuckCell {
-                    row: 0,
-                    cell: 0,
-                    value: true,
-                };
-                let (gate, new_signal, _) = semantic_wire_flip(&op);
-                let steps: [&dyn Fn(&mut PicogaSim); 4] = [
-                    &|sim| sim.inject(&stuck).unwrap(),
-                    &|sim| sim.clear_stuck_cells(),
-                    &|sim| sim.inject(&wire_flip(gate, 0, new_signal)).unwrap(),
-                    &|sim| sim.inject(&stuck).unwrap(),
-                ];
-                for step in steps {
-                    step(&mut sim);
-                    assert_eq!(sim.compile_is_exact(0), Some(true));
-                    assert!(drive_to_build_point(&mut sim, &mut rng, m));
-                    check_word_path(&mut sim, &mut rng, m);
+                let other = ops(&mut rng, m).swap_remove(0);
+                let crc = crc_updates(&mut rng, m).swap_remove(3);
+                for op in [crc, scramblers(&mut rng, m).swap_remove(0)] {
+                    let mut sim = PicogaSim::new(roomy());
+                    sim.load_context(0, op.clone()).unwrap();
+                    sim.switch_to(0).unwrap();
+                    let stuck = ConfigFault::StuckCell {
+                        row: 0,
+                        cell: 0,
+                        value: true,
+                    };
+                    let (gate, new_signal, _) = semantic_wire_flip(&op);
+                    let reload = |sim: &mut PicogaSim| {
+                        sim.load_context(0, other.clone()).unwrap();
+                        sim.load_context(0, op.clone()).unwrap();
+                        sim.switch_to(0).unwrap();
+                    };
+                    // Each step, and whether the resident table survives it.
+                    type Step<'a> = (&'a dyn Fn(&mut PicogaSim), bool);
+                    let steps: [Step; 5] = [
+                        (&|sim| sim.inject(&stuck).unwrap(), false),
+                        (&|sim| sim.clear_stuck_cells(), false),
+                        (&reload, true),
+                        (
+                            &|sim| sim.inject(&wire_flip(gate, 0, new_signal)).unwrap(),
+                            false,
+                        ),
+                        (&|sim| sim.inject(&stuck).unwrap(), false),
+                    ];
+                    for (step, kept) in steps {
+                        let before = code(&sim);
+                        step(&mut sim);
+                        assert_eq!(sim.compile_is_exact(0), Some(true));
+                        if kept {
+                            assert!(Arc::ptr_eq(&code(&sim), &before), "{}", op.name());
+                            assert!(code(&sim).has_word_table(), "{} kept", op.name());
+                        } else {
+                            assert!(drive_to_build_point(&mut sim, &mut rng, m));
+                        }
+                        check_word_path(&mut sim, &mut rng, m);
+                    }
                 }
             }
         }
