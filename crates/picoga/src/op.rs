@@ -199,10 +199,12 @@ impl CompanionFeedback {
 
     /// [`CompanionFeedback::apply`] on packed words: `x` and `p` hold the
     /// `k` state and input bits as `k.div_ceil(64)` LSB-first words, and
-    /// `x` is updated in place.
+    /// `x` is updated in place. Input words past the end of `p` read 0,
+    /// so an empty `p` takes an autonomous step.
     pub(crate) fn step_words(&self, x: &mut [u64], p: &[u64]) {
-        if let ([w], [pw]) = (&mut *x, p) {
-            *w = self.word_step()(*w, *pw);
+        let p = |i: usize| p.get(i).copied().unwrap_or(0);
+        if let [w] = x {
+            *w = self.word_step()(*w, p(0));
             return;
         }
         let k = self.k;
@@ -216,8 +218,8 @@ impl CompanionFeedback {
         if !k.is_multiple_of(64) {
             x[(k - 1) / 64] &= (1 << (k % 64)) - 1;
         }
-        for ((w, &pi), &gi) in x.iter_mut().zip(p).zip(self.g_col.words()) {
-            *w ^= pi ^ (gi & fold);
+        for (i, (w, &gi)) in x.iter_mut().zip(self.g_col.words()).enumerate() {
+            *w ^= p(i) ^ (gi & fold);
         }
     }
 }
@@ -1044,6 +1046,11 @@ mod tests {
                 let mut w = x.words().to_vec();
                 fb.step_words(&mut w, p.words());
                 assert_eq!(BitVec::from_words(w, k), fb.apply(&x, &p), "k={k}");
+                // An empty input steps autonomously.
+                let mut w = x.words().to_vec();
+                fb.step_words(&mut w, &[]);
+                let zero = BitVec::zeros(k);
+                assert_eq!(BitVec::from_words(w, k), fb.apply(&x, &zero), "k={k}");
                 if k <= 64 {
                     let one = fb.word_step()(x.words()[0], p.words()[0]);
                     assert_eq!(BitVec::from_words(vec![one], k), fb.apply(&x, &p));

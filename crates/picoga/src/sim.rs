@@ -19,7 +19,6 @@ use crate::op::{OpStats, PgaOperation};
 use gf2::BitVec;
 use obs::{EventKind, ObsHub};
 use std::fmt;
-use std::ops::Range;
 use std::sync::Arc;
 #[cfg(test)]
 use {crate::op::Placement, xornet::XorNetwork};
@@ -1158,9 +1157,7 @@ impl PicogaSim {
     }
 
     /// The scrambler over `n` blocks from transformed state `x_t`: the
-    /// output bits and the final state. `stream` holds the words of a
-    /// packed stream, which may take the word table (see
-    /// [`PicogaSim::scrambler_stream_word`]).
+    /// output bits and the final state.
     fn scrambler_stream(
         &mut self,
         x_t: &BitVec,
@@ -1175,26 +1172,12 @@ impl PicogaSim {
                 .expect("shape checked");
             return (out, BitVec::from_u64(s, k));
         }
-        let (ctx, scratch) = self.active_parts().expect("shape checked");
-        let width = ctx.code.data.n_outputs();
         let mut state = state_words(x_t, k);
-        let zero = vec![0; state.len()];
-        let mut out = vec![0u64; (n * width).div_ceil(64)];
-        let y = &mut scratch.out;
-        scrambler_blocks(ctx, &mut state, &zero, y, &mut out, 0..n, word);
-        let stats = ctx.op.stats();
-        self.charge_stream(stats, n as u64);
-        (
-            BitVec::from_words(out, n * width),
-            BitVec::from_words(state, k),
-        )
+        let out = self.scrambler_run(&mut state, n, word, stream);
+        (out, BitVec::from_words(state, k))
     }
 
-    /// [`PicogaSim::scrambler_stream`] for a state of at most 64 bits. A
-    /// packed stream (`stream`: its words, `L` blocks to a word) runs
-    /// its whole words through the compile's word table when it has
-    /// one, each writing one output word, and the rest block by block;
-    /// a list of blocks always runs block by block.
+    /// [`PicogaSim::scrambler_stream`] for a state of at most 64 bits.
     fn scrambler_stream_word(
         &mut self,
         x_t: u64,
@@ -1202,71 +1185,75 @@ impl PicogaSim {
         word: impl Fn(usize, usize) -> u64,
         stream: Option<&[u64]>,
     ) -> Result<(BitVec, u64), SimError> {
-        let (ctx, scratch) = self.active_parts()?;
-        let fb = ctx.op.feedback().expect("scrambler has feedback");
-        if fb.k > 64 {
+        let k = self
+            .active_op()?
+            .feedback()
+            .expect("scrambler has feedback")
+            .k;
+        if k > 64 {
             return Err(ONE_WORD);
         }
-        let mut s = x_t & (u64::MAX >> (64 - fb.k));
+        let mut s = [x_t & (u64::MAX >> (64 - k))];
+        let out = self.scrambler_run(&mut s, n, word, stream);
+        Ok((out, s[0]))
+    }
+
+    /// The scrambler over `n` blocks from the state words `state`, which
+    /// it advances; returns the output bits. A packed stream (`stream`:
+    /// its words, `L` blocks to a word) on a one-word state runs its
+    /// whole words through the compile's word table when it has one,
+    /// each writing one output word. The other blocks go one at a time:
+    /// block `b`'s output `c ⊕ D·u_b ⊕ S·x_b` from the tables, written
+    /// at bit `b·width`, then one autonomous step of the state (no data
+    /// enters the loop).
+    fn scrambler_run(
+        &mut self,
+        state: &mut [u64],
+        n: usize,
+        word: impl Fn(usize, usize) -> u64,
+        stream: Option<&[u64]>,
+    ) -> BitVec {
+        let (ctx, scratch) = self.active_parts().expect("shape checked");
+        let fb = ctx.op.feedback().expect("scrambler has feedback");
         let code = &ctx.code;
         let width = code.data.n_outputs();
         let mut out = vec![0u64; (n * width).div_ceil(64)];
         let mut done = 0;
-        if let Some(words) = stream {
+        if let (Some(words), [x]) = (stream, &mut *state) {
             if let Some(table) = code.word_table(fb, n) {
                 let whole = n / table.blocks();
+                let mut s = *x;
                 for (y, &w) in out.iter_mut().zip(&words[..whole]) {
                     (*y, s) = table.scramble(s, w);
                 }
+                *x = s;
                 done = whole * table.blocks();
             }
         }
-        let state = std::slice::from_mut(&mut s);
-        scrambler_blocks(ctx, state, &[0], &mut scratch.out, &mut out, done..n, word);
+        if let ([x], 1) = (&mut *state, code.out_words()) {
+            let step = fb.word_step();
+            let mut s = *x;
+            for b in done..n {
+                let y = code.data.apply_word(|g| word(b, g)) ^ code.state.apply_word(|_| s);
+                put_bits(&mut out, b * width, y);
+                s = step(s, 0);
+            }
+            *x = s;
+        } else {
+            let y = &mut scratch.out;
+            y.resize(code.out_words(), 0);
+            for b in done..n {
+                code.data.apply_with(|g| word(b, g), y);
+                code.state.xor_product(state, y);
+                for (g, &v) in y.iter().enumerate() {
+                    put_bits(&mut out, b * width + 64 * g, v);
+                }
+                fb.step_words(state, &[]);
+            }
+        }
         let stats = ctx.op.stats();
         self.charge_stream(stats, n as u64);
-        Ok((BitVec::from_words(out, n * width), s))
-    }
-}
-
-/// The per-block loop of the scrambler in `ctx` over `blocks`: each
-/// block's output `c ⊕ D·u_b ⊕ S·x_b` from the tables, written into
-/// `out` at bit `b·width`, then one autonomous step of the state words
-/// (`zero` is as long as `state`; no data enters the loop). `y` holds
-/// one output.
-fn scrambler_blocks(
-    ctx: &Context,
-    state: &mut [u64],
-    zero: &[u64],
-    y: &mut Vec<u64>,
-    out: &mut [u64],
-    blocks: Range<usize>,
-    word: impl Fn(usize, usize) -> u64,
-) {
-    let (code, fb) = (
-        &ctx.code,
-        ctx.op.feedback().expect("scrambler has feedback"),
-    );
-    let width = code.data.n_outputs();
-    if let ([x], 1) = (&mut *state, code.out_words()) {
-        let step = fb.word_step();
-        let mut s = *x;
-        for b in blocks {
-            let y = code.data.apply_word(|g| word(b, g)) ^ code.state.apply_word(|_| s);
-            put_bits(out, b * width, y);
-            s = step(s, 0);
-        }
-        *x = s;
-        return;
-    }
-    y.resize(code.out_words(), 0);
-    for b in blocks {
-        code.data.apply_with(|g| word(b, g), y);
-        code.state.xor_product(state, y);
-        for (g, &v) in y.iter().enumerate() {
-            put_bits(out, b * width + 64 * g, v);
-        }
-        fb.step_words(state, zero);
+        BitVec::from_words(out, n * width)
     }
 }
 
