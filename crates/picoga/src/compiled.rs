@@ -231,10 +231,16 @@ impl WordTable {
     }
 
     /// A CRC update's state after the `L` blocks of message word `w`,
-    /// from `s`.
+    /// from `s`. (`A^L·s` is written out here and in
+    /// [`WordTable::scramble`]: a shared helper measured ~5% slower on
+    /// the CRC word path.)
     #[inline]
     pub(crate) fn step(&self, s: u64, w: u64) -> u64 {
-        let mut y = self.advance(s);
+        let t = s >> self.top_at;
+        let mut y = (s & self.low) << self.shift;
+        for (g, e) in self.top.iter().enumerate() {
+            y ^= e[((t >> (8 * g)) & 0xFF) as usize];
+        }
         for (g, e) in self.data.iter().enumerate() {
             y ^= e[((w >> (8 * g)) & 0xFF) as usize];
         }
@@ -245,6 +251,11 @@ impl WordTable {
     /// its state `L` blocks on.
     #[inline]
     pub(crate) fn scramble(&self, s: u64, w: u64) -> (u64, u64) {
+        let t = s >> self.top_at;
+        let mut next = (s & self.low) << self.shift;
+        for (g, e) in self.top.iter().enumerate() {
+            next ^= e[((t >> (8 * g)) & 0xFF) as usize];
+        }
         let mut y = 0;
         for (g, e) in self.data.iter().enumerate() {
             y ^= e[((w >> (8 * g)) & 0xFF) as usize];
@@ -252,18 +263,7 @@ impl WordTable {
         for (g, e) in self.key.iter().enumerate() {
             y ^= e[((s >> (8 * g)) & 0xFF) as usize];
         }
-        (y, self.advance(s))
-    }
-
-    /// `A^L·s`.
-    #[inline]
-    fn advance(&self, s: u64) -> u64 {
-        let t = s >> self.top_at;
-        let mut y = (s & self.low) << self.shift;
-        for (g, e) in self.top.iter().enumerate() {
-            y ^= e[((t >> (8 * g)) & 0xFF) as usize];
-        }
-        y
+        (y, next)
     }
 
     /// Heap bytes of the tables.
