@@ -233,7 +233,7 @@ impl WordTable {
     /// A CRC update's state after the `L` blocks of message word `w`,
     /// from `s`. (`A^L·s` is written out here and in
     /// [`WordTable::scramble`]: a shared helper measured ~5% slower on
-    /// the CRC word path.)
+    /// the CRC word path of `DreamSystem::checksum`, on a 2-core Xeon.)
     #[inline]
     pub(crate) fn step(&self, s: u64, w: u64) -> u64 {
         let t = s >> self.top_at;
