@@ -1,5 +1,5 @@
 //! Differential tests of the host datapath against its oracles at
-//! M ∈ {8, 16, 32, 128}: checksums against `crc_bitwise` (the dense lane
+//! M ∈ {8, 16, 32, 64, 128}: checksums against `crc_bitwise` (the dense lane
 //! included), scrambled frames against `AdditiveScrambler`, interleaved
 //! batches against per-message references, and configuration-scrub
 //! findings against the basis-probe procedure the scrub ran before
@@ -20,11 +20,13 @@ use xornet::XorNetwork;
 /// (catalogue name, M). CRC-16/DECT-R and CRC-64/XZ have no Derby
 /// transform and take the dense lane; the rest are Derby lanes. (CRC-64/XZ
 /// needs more than the fabric's 24 rows above M = 32.) CRC-5/USB at M = 8
-/// has fewer state bits than a 64-bit word has blocks.
-const LANES: [(&str, usize); 11] = [
+/// has fewer state bits than a 64-bit word has blocks. CRC-32/ETHERNET at
+/// M = 64 and 128 has blocks of one and two whole words.
+const LANES: [(&str, usize); 12] = [
     ("CRC-32/ETHERNET", 8),
     ("CRC-32/ETHERNET", 16),
     ("CRC-32/ETHERNET", 32),
+    ("CRC-32/ETHERNET", 64),
     ("CRC-32/ETHERNET", 128),
     ("CRC-16/IBM-SDLC", 32),
     ("CRC-5/USB", 8),

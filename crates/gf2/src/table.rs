@@ -203,6 +203,35 @@ impl AffineTable {
         }
     }
 
+    /// [`AffineTable::apply_word`] on an input of whole words read in
+    /// place: `input` holds the `n_in / 64` words of `u`, and each word
+    /// sweeps its eight byte tables directly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_out > 64`, and in debug builds unless `input` holds
+    /// exactly `n_in / 64` words and `n_in` is a multiple of 64.
+    #[inline]
+    pub fn apply_whole_words(&self, input: &[u64]) -> u64 {
+        assert!(
+            self.words <= 1,
+            "apply_whole_words needs at most 64 outputs"
+        );
+        debug_assert_eq!(64 * input.len(), self.n_in, "whole input words");
+        let Some(&c) = self.offset.first() else {
+            return 0;
+        };
+        let (bytes, _) = self.table.as_chunks::<256>();
+        let (words, _) = bytes.as_chunks::<8>();
+        let mut y = c;
+        for (&x, tables) in input.iter().zip(words) {
+            for (j, e) in tables.iter().enumerate() {
+                y ^= e[((x >> (8 * j)) & 0xFF) as usize];
+            }
+        }
+        y
+    }
+
     /// `M·u` for a one-word map.
     #[inline]
     fn product_word(&self, word: impl Fn(usize) -> u64) -> u64 {
@@ -293,6 +322,20 @@ mod tests {
                 let want = &m.mul_vec(&u) ^ &c;
                 assert_eq!(BitVec::from_words(y.clone(), rows), want, "{rows}x{cols}");
                 assert_eq!(y, want.words(), "no bits past n_out");
+            }
+        }
+    }
+
+    #[test]
+    fn whole_words_match_the_word_reader() {
+        let mut next = rng(0x0A11_0F64);
+        for (rows, cols) in [(1, 64), (5, 256), (16, 192), (32, 128), (64, 64)] {
+            let m = BitMat::from_rows((0..rows).map(|_| bits(&mut next, cols)).collect());
+            let t = AffineTable::from_matrix(&m, &bits(&mut next, rows));
+            for _ in 0..20 {
+                let u = bits(&mut next, cols);
+                let want = t.apply_word(|i| u.words()[i]);
+                assert_eq!(t.apply_whole_words(u.words()), want, "{rows}x{cols}");
             }
         }
     }
