@@ -319,14 +319,23 @@ impl BitVec {
         v
     }
 
-    /// Overwrites the vector with `len` bits from LSB-first `words`, as
-    /// [`BitVec::from_words`] builds one, keeping its storage.
-    pub fn assign_words(&mut self, words: impl IntoIterator<Item = u64>, len: usize) {
-        let n = words_for(len);
+    /// Overwrites the vector with the `8·bytes.len()` bits of `bytes`,
+    /// laid out as [`BitVec::from_le_bytes`] reads them, with each
+    /// 64-bit word passed through `map` (the last word zero-padded
+    /// first; bits `map` sets past the end are dropped), keeping its
+    /// storage. The whole words are one exact-size extend.
+    pub fn assign_le_bytes(&mut self, bytes: &[u8], map: impl Fn(u64) -> u64) {
+        let chunks = bytes.chunks_exact(8);
+        let rest = chunks.remainder();
         self.words.clear();
-        self.words.extend(words.into_iter().take(n));
-        self.words.resize(n, 0);
-        self.len = len;
+        self.words
+            .extend(chunks.map(|c| map(u64::from_le_bytes(c.try_into().expect("8-byte chunk")))));
+        if !rest.is_empty() {
+            let mut w = [0u8; 8];
+            w[..rest.len()].copy_from_slice(rest);
+            self.words.push(map(u64::from_le_bytes(w)));
+        }
+        self.len = 8 * bytes.len();
         self.mask_tail();
     }
 
@@ -443,6 +452,26 @@ impl FromIterator<bool> for BitVec {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn assign_le_bytes_matches_from_le_bytes_and_keeps_storage() {
+        let bytes: Vec<u8> = (0..21u32).map(|i| (i * 89 + 7) as u8).collect();
+        let mut v = BitVec::ones(300);
+        for len in [0, 1, 7, 8, 9, 16, 21] {
+            v.assign_le_bytes(&bytes[..len], |w| w);
+            assert_eq!(
+                v,
+                BitVec::from_le_bytes(&bytes[..len], 8 * len),
+                "len {len}"
+            );
+            // A map that sets bits past the end must not leave them set.
+            v.assign_le_bytes(&bytes[..len], |w| !w);
+            let want: BitVec = (0..8 * len)
+                .map(|i| (bytes[i / 8] >> (i % 8)) & 1 == 0)
+                .collect();
+            assert_eq!(v, want, "len {len} mapped");
+        }
+    }
 
     #[test]
     fn zeros_and_len() {

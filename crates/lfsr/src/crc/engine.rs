@@ -73,23 +73,12 @@ pub fn message_bits(spec: &CrcSpec, data: &[u8]) -> BitVec {
 
 /// [`message_bits`] into `out`, reusing its storage.
 pub fn message_bits_into(spec: &CrcSpec, data: &[u8], out: &mut BitVec) {
-    let chunks = data.chunks_exact(8);
-    let rest = chunks.remainder();
-    let last = (!rest.is_empty()).then(|| {
-        let mut w = [0u8; 8];
-        w[..rest.len()].copy_from_slice(rest);
-        u64::from_le_bytes(w)
-    });
-    let words = chunks
-        .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-        .chain(last);
-    let len = data.len() * 8;
     if spec.refin {
-        out.assign_words(words, len);
+        out.assign_le_bytes(data, |w| w);
     } else {
         // Reversing all 64 bits, then the byte order, reverses each
         // byte's bits in place.
-        out.assign_words(words.map(|w| w.reverse_bits().swap_bytes()), len);
+        out.assign_le_bytes(data, |w| w.reverse_bits().swap_bytes());
     }
 }
 
