@@ -274,6 +274,10 @@ struct Config {
     /// vectors, made on the first probe (see
     /// [`PgaOperation::probe_responses`]).
     probe: OnceLock<Vec<u64>>,
+    /// The configuration's [`OpStats`], made on the first
+    /// [`PgaOperation::stats`] (every context load and stream charge
+    /// reads them).
+    stats: OnceLock<OpStats>,
 }
 
 impl PartialEq for PgaOperation {
@@ -404,17 +408,19 @@ impl PgaOperation {
                 kind,
                 compiled: OnceLock::new(),
                 probe: OnceLock::new(),
+                stats: OnceLock::new(),
             }),
         }
     }
 
     /// The configuration for writing: copied first when other clones
-    /// share it, and without its compile and probe responses, which no
-    /// longer describe it.
+    /// share it, and without its compile, probe responses and stats,
+    /// which no longer describe it.
     fn config_mut(&mut self) -> &mut Config {
         let config = Arc::make_mut(&mut self.config);
         config.compiled = OnceLock::new();
         config.probe = OnceLock::new();
+        config.stats = OnceLock::new();
         config
     }
 
@@ -846,8 +852,13 @@ impl PgaOperation {
         Ok(())
     }
 
-    /// Resource and timing statistics.
+    /// Resource and timing statistics, derived from the placement on
+    /// the first call and kept with the configuration.
     pub fn stats(&self) -> OpStats {
+        *self.config.stats.get_or_init(|| self.derive_stats())
+    }
+
+    fn derive_stats(&self) -> OpStats {
         let fb = self.feedback();
         let rows = self.config.placement.row_count() + fb.map_or(0, |_| 1);
         let cells = self.config.placement.cell_count() + fb.map_or(0, |f| f.cells);
@@ -1089,6 +1100,13 @@ mod tests {
         assert!(s.rows >= 2, "ff depth + feedback row");
         assert_eq!(s.latency, s.rows as u64);
         assert_eq!(s.output_bits, 16);
+        // The cached stats follow a written copy of the configuration.
+        let mut copy = op.clone();
+        assert_eq!(copy.stats(), s);
+        copy.corrupt_wire(0, 0, 0).unwrap();
+        assert!(copy.config.stats.get().is_none(), "a write drops them");
+        assert_eq!(copy.stats(), copy.derive_stats());
+        assert_eq!(op.stats(), s);
     }
 
     #[test]
