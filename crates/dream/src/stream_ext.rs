@@ -212,7 +212,7 @@ impl DreamSystem {
             return Ok((BitVec::zeros(0), x_t.clone()));
         }
         let n = bits.len() / m;
-        self.make_scrambler_resident(name)?;
+        self.make_resident(name, 2)?;
         self.note_feed_blocks(n as u64);
         Ok(self
             .fabric_mut_internal()
