@@ -19,7 +19,8 @@
 //! checks the serving record after it is written. The storm harnesses
 //! gate on the same invariants through `cluster::audit_spans`; this
 //! module is the standalone, harness-independent form with named
-//! violations, used by `cluster_report` and the acceptance tests.
+//! violations, used by the `cluster_campaigns` SLO report and the
+//! acceptance tests.
 
 use obs::{SpanRecord, Tracer};
 use std::fmt;

@@ -9,6 +9,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod gate;
+
 use dream::{ControlModel, DreamCrcApp, DreamScramblerApp, EnergyModel, RunReport};
 use dream_lfsr::{build_crc_app, build_scrambler_app, sweep_m, FlowOptions};
 use gf2::BitVec;

@@ -191,8 +191,8 @@ pub struct CrashStormReport {
     /// cut short by a crash are closed as `"crashed"` before adoption).
     pub spans: SpanAudit,
     /// Accumulated span tables of every epoch (crashed epochs closed
-    /// out, then adopted), for trace-query consumers like
-    /// `cluster_report`.
+    /// out, then adopted), for trace-query consumers like the SLO
+    /// report `cluster_campaigns` writes.
     pub tracer: obs::Tracer,
 }
 

@@ -18,8 +18,8 @@
 //!   robustness flows — digest-verified **live migration**, fenced
 //!   **shard drain**, and checkpoint-replay **whole-shard failover**
 //!   with typed (never silent) stream loss.
-//! * [`storm`] — the seeded cluster-wide stress harness behind the
-//!   `cluster_storm` binary: multi-shard traffic with random live
+//! * [`storm`] — the seeded cluster-wide stress harness (the first of
+//!   the `cluster_campaigns` bench binary's runs): multi-shard traffic with random live
 //!   migrations, a mid-run forced kill and a planned drain, every
 //!   digest checked against a software oracle. The storm, [`chaos`] and
 //!   [`crash`] campaigns share one private campaign engine: one client
@@ -42,13 +42,13 @@
 //!   coldest token-fenced migrations on a fixed cadence.
 //! * [`upgrade`] — rolling personality upgrades: drain → rehost →
 //!   undrain, one shard at a time, under live traffic.
-//! * [`chaos`] — the deterministic chaos harness behind the
-//!   `chaos_storm` binary: seeded slowdowns, corrupted/truncated
+//! * [`chaos`] — the deterministic chaos harness (run by
+//!   `cluster_campaigns`): seeded slowdowns, corrupted/truncated
 //!   transfers, byzantine health probes, fault flaps, admission
 //!   storms and typed storage faults against the self-healing control
 //!   loop (DESIGN.md §12).
-//! * [`crash`] — the crash storm behind the `crash_storm` binary:
-//!   the control plane journals every decision to a write-ahead log
+//! * [`crash`] — the crash storm (run by `cluster_campaigns`): the
+//!   control plane journals every decision to a write-ahead log
 //!   ([`wal`]), seeded whole-cluster power losses drop everything but
 //!   the (hostile) disk, and recovery replays the journal back into a
 //!   serving cluster with zero digest mismatches, zero silent losses

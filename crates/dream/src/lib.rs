@@ -15,7 +15,6 @@ mod energy;
 mod memory;
 mod perf;
 mod scrambler_app;
-mod stream_ext;
 mod system;
 
 pub use crc_app::{BuildError, CrcMethod, DreamCrcApp};

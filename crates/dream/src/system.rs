@@ -25,6 +25,8 @@ use picoga::{OpStats, OpStatsGauges, PgaOperation, PicogaParams, PicogaSim, SimE
 use std::collections::HashMap;
 use std::fmt;
 
+mod stream_ext;
+
 /// A named personality: the operations one application needs resident.
 #[derive(Debug, Clone)]
 pub struct Personality {
@@ -492,6 +494,15 @@ impl DreamSystem {
         match &mut self.records[i].hosted {
             Hosted::Crc(c) => c,
             _ => unreachable!("record {i} hosts a CRC personality"),
+        }
+    }
+
+    /// The scrambler host half of record `i`, which the caller has
+    /// resolved as a scrambler personality.
+    fn scrambler_host(&mut self, i: usize) -> &mut ScramblerHost {
+        match &mut self.records[i].hosted {
+            Hosted::Scrambler(h) => h,
+            _ => unreachable!("record {i} hosts a scrambler"),
         }
     }
 
@@ -1201,66 +1212,6 @@ impl DreamSystem {
     }
 }
 
-/// Crate-internal accessors for the chunked stream entry points (see
-/// `stream_ext.rs`).
-impl DreamSystem {
-    /// Looks up a CRC personality by name.
-    pub(crate) fn personality(&self, name: &str) -> Option<&Personality> {
-        let i = self.find(name)?;
-        self.records[i].hosted.crc().map(|c| &c.p)
-    }
-
-    /// Looks up a scrambler personality by name.
-    pub(crate) fn scrambler(&self, name: &str) -> Option<&ScramblerPersonality> {
-        let i = self.find(name)?;
-        self.records[i].hosted.scrambler().map(|h| &h.p)
-    }
-
-    /// Makes `(name, role)` resident and active (LRU-evicting on miss).
-    pub(crate) fn make_resident(&mut self, name: &str, role: u8) -> Result<usize, SystemError> {
-        let i = self
-            .find(name)
-            .ok_or_else(|| SystemError::UnknownPersonality { name: name.into() })?;
-        self.ensure_resident(i, role)
-    }
-
-    /// Mutable fabric access for the stream feed paths.
-    pub(crate) fn fabric_mut_internal(&mut self) -> &mut PicogaSim {
-        &mut self.sim
-    }
-
-    /// Accounts `n` blocks pushed through the chunked stream feed paths.
-    pub(crate) fn note_feed_blocks(&mut self, n: u64) {
-        self.sim.obs_mut().registry.add(self.ids.feed_blocks, n);
-    }
-
-    /// The control-processor overhead model.
-    pub(crate) fn control_model(&self) -> &ControlModel {
-        &self.control
-    }
-
-    /// The state a registered CRC personality's messages start from.
-    pub(crate) fn start_state(&self, name: &str) -> Option<u64> {
-        let i = self.find(name)?;
-        self.records[i].hosted.crc().map(|c| c.start)
-    }
-
-    /// The serial tail engine of a registered CRC personality.
-    pub(crate) fn tail_engine(&self, name: &str) -> Option<&StateSpaceLfsr> {
-        let i = self.find(name)?;
-        self.records[i].hosted.crc().map(|c| &c.tail)
-    }
-
-    /// The host half of a registered scrambler personality.
-    pub(crate) fn scrambler_lane(&mut self, name: &str) -> Option<&mut ScramblerLane> {
-        let i = self.find(name)?;
-        match &mut self.records[i].hosted {
-            Hosted::Scrambler(h) => Some(&mut h.lane),
-            _ => None,
-        }
-    }
-}
-
 /// The state a CRC personality's messages start from: the spec's init
 /// register, in the transformed domain when the lane is a Derby lane.
 fn start_state(p: &Personality) -> u64 {
@@ -1273,7 +1224,7 @@ fn start_state(p: &Personality) -> u64 {
 
 /// Rejects seeds with bits beyond the scrambler's state width; the
 /// excess used to be truncated silently by `BitVec::from_u64`.
-pub(crate) fn check_seed(name: &str, seed: u64, width: usize) -> Result<(), SystemError> {
+fn check_seed(name: &str, seed: u64, width: usize) -> Result<(), SystemError> {
     if width < 64 && seed >> width != 0 {
         return Err(SystemError::BadSeed {
             name: name.into(),

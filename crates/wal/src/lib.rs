@@ -19,9 +19,10 @@
 //!   rule: bit rot is skipped and counted, a torn tail stops replay.
 //!
 //! `cluster::Cluster` journals its control-plane transitions through
-//! this crate and rebuilds itself from a replay after a crash; the
-//! `crash_storm` bench harness kills and recovers whole clusters under
-//! seeded storage faults and gates the result.
+//! this crate and rebuilds itself from a replay after a crash; the crash
+//! storm (run by the `cluster_campaigns` bench binary) kills and
+//! recovers whole clusters under seeded storage faults and gates the
+//! result.
 
 pub mod hasher;
 pub mod journal;

@@ -41,7 +41,7 @@
 //!   N independent shard stacks with rendezvous placement, a periodic
 //!   checkpoint sweep, digest-verified live migration, fenced shard
 //!   drain, and checkpoint-replay whole-shard failover with typed
-//!   stream loss (stressed by the seeded `cluster_storm` bench binary)
+//!   stream loss (stressed by the seeded `cluster_campaigns` bench binary)
 //!   — plus the self-healing control loop and deterministic chaos
 //!   harness: per-shard circuit breakers, idempotent-token retries,
 //!   health-scored rebalancing, rolling personality upgrades, and the
