@@ -575,17 +575,25 @@ mod tests {
         out
     }
 
-    /// Sets the first `"key":…` after `anchor` to `v`.
-    fn set(doc: &str, anchor: &str, key: &str, v: &str) -> String {
-        let at = doc.find(anchor).expect("anchor") + anchor.len();
-        let old = json_section(&doc[at..], key).expect("key");
-        let (from, to) = (format!("\"{key}\":{old}"), format!("\"{key}\":{v}"));
-        format!("{}{}", &doc[..at], doc[at..].replacen(&from, &to, 1))
+    /// `doc` with `value`, a slice of it, replaced by `v`.
+    fn splice(doc: &str, value: &str, v: &str) -> String {
+        let at = value.as_ptr() as usize - doc.as_ptr() as usize;
+        format!("{}{v}{}", &doc[..at], &doc[at + value.len()..])
+    }
+
+    /// Sets `key` to `v` in the first object of the `section` array
+    /// whose text contains `pick`.
+    fn set(doc: &str, section: &str, pick: &str, key: &str, v: &str) -> String {
+        let objs = json_objects(json_section(doc, section).expect("section"));
+        let obj = objs.iter().find(|o| o.contains(pick)).expect("object");
+        splice(doc, json_section(obj, key).expect("key"), v)
     }
 
     /// Rewrites a top-level key of `file` in `files`.
     fn top(files: &Files, file: &'static str, key: &str, v: u64) -> Files {
-        with(files, file, |d| set(d, "", key, &v.to_string()))
+        with(files, file, |d| {
+            splice(d, json_section(d, key).expect("key"), &v.to_string())
+        })
     }
 
     /// `check` of `cur` against `base`, as the number of regressions.
@@ -692,7 +700,7 @@ mod tests {
     #[test]
     fn a_clean_point_may_not_turn_unclean() {
         let b = baselines();
-        let unclean = with(&b, ANALYZE, |d| set(d, "\"catalogue\"", "ok", "false"));
+        let unclean = with(&b, ANALYZE, |d| set(d, "catalogue", "", "ok", "false"));
         assert_eq!(regressions(&b, &unclean), 1);
         // Unclean in the baseline: either state passes.
         assert_eq!(regressions(&unclean, &unclean), 0);
@@ -704,8 +712,8 @@ mod tests {
         let b = baselines();
         let fixed = "\"model\":\"service-fixed\"";
         let bug = "\"model\":\"service-prefix-transact-bug\"";
-        let failed = with(&b, ANALYZE, |d| set(d, fixed, "passed", "false"));
-        let passed = with(&b, ANALYZE, |d| set(d, bug, "passed", "true"));
+        let flip = |pick, v| with(&b, ANALYZE, |d| set(d, "model_checking", pick, "passed", v));
+        let (failed, passed) = (flip(fixed, "false"), flip(bug, "true"));
         assert_eq!(regressions(&b, &failed), 1);
         assert_eq!(regressions(&b, &passed), 1);
     }
@@ -714,7 +722,7 @@ mod tests {
     fn a_truncated_model_is_a_regression() {
         let b = baselines();
         let cur = with(&b, ANALYZE, |d| {
-            set(d, "\"model_checking\"", "truncated", "true")
+            set(d, "model_checking", "", "truncated", "true")
         });
         assert_eq!(regressions(&b, &cur), 1);
         // Absolute: a truncated baseline does not excuse it.

@@ -11,51 +11,29 @@
 //! and numbers are expected to be unsigned integers (the exporters
 //! guarantee both).
 
-/// Returns the raw text of the value following `"key":` at any nesting
-/// depth — an object/array including its brackets, or a scalar up to
-/// the enclosing `,`/`}`/`]`. The first occurrence wins.
+/// Returns the raw text of the value of `"key"` among the direct members
+/// of the object `obj` — an object/array including its brackets, a
+/// string including its quotes, or a scalar up to the enclosing
+/// `,`/`}`/`]`. Keys of nested objects and text inside string values
+/// never match, and nothing after the object's closing brace is read.
 #[must_use]
-pub fn json_section<'a>(doc: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let start = doc.find(&needle)? + needle.len();
-    let rest = &doc[start..];
-    let mut chars = rest.char_indices();
-    let (_, first) = chars.next()?;
-    match first {
-        '{' | '[' => {
-            let close = if first == '{' { '}' } else { ']' };
-            let mut depth = 0usize;
-            let mut in_str = false;
-            let mut escaped = false;
-            for (i, c) in rest.char_indices() {
-                if in_str {
-                    match c {
-                        _ if escaped => escaped = false,
-                        '\\' => escaped = true,
-                        '"' => in_str = false,
-                        _ => {}
-                    }
+pub fn json_section<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
+    for (at, byte, depth) in tokens(obj) {
+        match (byte, depth) {
+            (b'}' | b']', 0) => return None,
+            (b'"', 1) => {
+                let end = string_end(obj.as_bytes(), at)?;
+                if obj[at + 1..end] != *key {
                     continue;
                 }
-                match c {
-                    '"' => in_str = true,
-                    c if c == first => depth += 1,
-                    c if c == close => {
-                        depth -= 1;
-                        if depth == 0 {
-                            return Some(&rest[..=i]);
-                        }
-                    }
-                    _ => {}
+                if let Some(value) = obj[end + 1..].trim_start().strip_prefix(':') {
+                    return value_text(value.trim_start());
                 }
             }
-            None
-        }
-        _ => {
-            let end = rest.find([',', '}', ']']).unwrap_or(rest.len());
-            Some(rest[..end].trim())
+            _ => {}
         }
     }
+    None
 }
 
 /// Splits an array slice (as returned by [`json_section`], brackets
@@ -63,40 +41,67 @@ pub fn json_section<'a>(doc: &'a str, key: &str) -> Option<&'a str> {
 #[must_use]
 pub fn json_objects(array: &str) -> Vec<&str> {
     let mut out = Vec::new();
-    let mut depth = 0usize;
     let mut start = None;
-    let mut in_str = false;
-    let mut escaped = false;
-    for (i, c) in array.char_indices() {
-        if in_str {
-            match c {
-                _ if escaped => escaped = false,
-                '\\' => escaped = true,
-                '"' => in_str = false,
-                _ => {}
-            }
-            continue;
-        }
-        match c {
-            '"' => in_str = true,
-            '{' => {
-                if depth == 0 {
-                    start = Some(i);
-                }
-                depth += 1;
-            }
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    if let Some(s) = start.take() {
-                        out.push(&array[s..=i]);
-                    }
-                }
-            }
+    for (at, byte, depth) in tokens(array) {
+        match (byte, depth) {
+            (b'{', 2) => start = Some(at),
+            (b'}', 1) => out.extend(start.take().map(|s| &array[s..=at])),
             _ => {}
         }
     }
     out
+}
+
+/// The structure of a JSON text outside its string literals: each
+/// bracket and the opening quote of each string, as `(byte index, byte,
+/// depth)`, the depth counted after the byte (`{` and `[` enter a level,
+/// `}` and `]` leave one).
+fn tokens(text: &str) -> impl Iterator<Item = (usize, u8, usize)> + '_ {
+    let bytes = text.as_bytes();
+    let (mut i, mut depth) = (0, 0usize);
+    std::iter::from_fn(move || {
+        while i < bytes.len() {
+            let at = i;
+            i += 1;
+            match bytes[at] {
+                b'{' | b'[' => depth += 1,
+                b'}' | b']' => depth = depth.saturating_sub(1),
+                b'"' => i = string_end(bytes, at).map_or(bytes.len(), |end| end + 1),
+                _ => continue,
+            }
+            return Some((at, bytes[at], depth));
+        }
+        None
+    })
+}
+
+/// Index of the quote closing the string that opens at `open`; `None`
+/// when the string is unterminated.
+fn string_end(bytes: &[u8], open: usize) -> Option<usize> {
+    let mut i = open + 1;
+    while i < bytes.len() {
+        match bytes[i] {
+            b'\\' => i += 1,
+            b'"' => return Some(i),
+            _ => {}
+        }
+        i += 1;
+    }
+    None
+}
+
+/// The text of the value that starts `rest`.
+fn value_text(rest: &str) -> Option<&str> {
+    match rest.as_bytes().first()? {
+        b'{' | b'[' => tokens(rest)
+            .find(|&(_, _, depth)| depth == 0)
+            .map(|(end, _, _)| &rest[..=end]),
+        b'"' => string_end(rest.as_bytes(), 0).map(|end| &rest[..=end]),
+        _ => {
+            let end = rest.find([',', '}', ']']).unwrap_or(rest.len());
+            Some(rest[..end].trim())
+        }
+    }
 }
 
 /// Reads the unsigned integer value of `"key"` in a flat object slice.
@@ -146,8 +151,37 @@ mod tests {
     }
 
     #[test]
+    fn only_the_objects_own_members_match() {
+        assert_eq!(json_u64(r#"{"a":{"p99":1},"p99":2}"#, "p99"), Some(2));
+        assert_eq!(json_u64(r#"{"a":{"p99":1}}"#, "p99"), None);
+        assert_eq!(json_u64(DOC, "p99"), None, "p99 is nested in storm");
+        assert_eq!(json_u64(DOC, "m"), None, "m is inside catalogue's objects");
+        // Nothing past the object's closing brace is read.
+        assert_eq!(json_u64(r#"{"a":1},{"p99":2}"#, "p99"), None);
+    }
+
+    #[test]
+    fn a_key_inside_a_string_never_matches() {
+        // The first `"p99":` in the text ends the key `say \"p99`.
+        assert_eq!(json_u64(r#"{"say \"p99":1,"p99":2}"#, "p99"), Some(2));
+        let doc = r#"{"note":"\"p99\":5,","p99":3,"tag":"x\\","n":4}"#;
+        assert_eq!(json_u64(doc, "p99"), Some(3));
+        assert_eq!(json_str(doc, "note"), Some(r#"\"p99\":5,"#));
+        assert_eq!(
+            json_u64(doc, "n"),
+            Some(4),
+            "an escaped backslash ends before the quote"
+        );
+        assert_eq!(json_u64(r#"{"note":"\"p99\":5"}"#, "p99"), None);
+        assert_eq!(json_section(r#"{"s":"{\"p99\":1}"}"#, "p99"), None);
+    }
+
+    #[test]
     fn missing_keys_are_none() {
         assert_eq!(json_section(DOC, "nope"), None);
+        for torn in [r#"{"p99"#, r#"{"p99":"#, r#"{"p99":"7"#, r#"{"p99":{"a":1"#] {
+            assert_eq!(json_section(torn, "p99"), None, "{torn}");
+        }
         assert_eq!(json_u64(DOC, "bench"), None, "strings do not parse as u64");
     }
 }

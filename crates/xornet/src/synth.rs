@@ -11,7 +11,11 @@
 //!    elimination: repeatedly find the signal pair shared by the most
 //!    rows, grow it into a pattern of up to `max_fanin` signals that still
 //!    co-occurs in at least two rows, materialise it as a gate and
-//!    substitute it everywhere.
+//!    substitute it everywhere. The pair counts are updated in place: a
+//!    round costs one pass over the count table's cached row maxima, a
+//!    holder scan over the rows per signal the pattern gains, and
+//!    `O(|P|·|R|)` count updates per row `R` rewritten with pattern `P`
+//!    (see `extract_patterns`).
 //! 2. **Covering** — each row's residual signal set is reduced with a
 //!    balanced tree of ≤`max_fanin`-input gates.
 
@@ -82,20 +86,23 @@ fn synthesize_with(matrix: &BitMat, opts: SynthOptions, extract: Extractor) -> X
 /// a no-op rather than a pessimisation.
 ///
 /// The most-shared pair is the one with the highest count, ties going to
-/// the smallest `(a, b)`. Counts live in a dense [`PairCounts`] table that
-/// is built once and updated only for the rows a substitution rewrites.
+/// the smallest `(a, b)`. Counts live in a dense [`PairCounts`] table,
+/// counted once from the rows. A round then costs:
+/// - the best-pair search: one pass over the `n` table rows' cached
+///   maxima, plus a rescan of each row a decrement may have lowered;
+/// - growth: a holder scan over the rows per signal the pattern gains;
+/// - substitution: `O(|P|·|R|)` count updates per row `R` rewritten with
+///   a pattern `P`.
 fn extract_patterns(net: &mut XorNetwork, rows: &mut [Vec<SignalId>], max_fanin: usize) {
-    // Pair counting is quadratic in row width; past this literal budget the
-    // savings no longer justify the runtime and the naive cover is used
-    // (matrices this big exceed any PiCoGA-class fabric anyway).
+    // Past this literal budget the naive cover is used. The bound is part
+    // of the synthesizer's output, not a runtime guard: raising it would
+    // change every network above it (matrices this big exceed any
+    // PiCoGA-class fabric anyway).
     const CSE_LITERAL_BUDGET: usize = 4096;
     if rows.iter().map(std::vec::Vec::len).sum::<usize>() > CSE_LITERAL_BUDGET {
         return;
     }
     let mut counts = PairCounts::new(net.n_signals(), rows);
-    for row in rows.iter() {
-        counts.add_row(row);
-    }
     while let Some((best_pair, count)) = counts.best() {
         if count < 2 {
             break;
@@ -142,13 +149,10 @@ fn extract_patterns(net: &mut XorNetwork, rows: &mut [Vec<SignalId>], max_fanin:
         // so far, so pushing it keeps every row sorted.
         let gate = net.add_gate(pattern.clone());
         counts.add_signal(gate);
-        for row in rows.iter_mut() {
-            if holds(row, &pattern) {
-                counts.remove_row(row);
-                row.retain(|s| pattern.binary_search(s).is_err());
-                row.push(gate);
-                counts.add_row(row);
-            }
+        for row in rows.iter_mut().filter(|r| holds(r, &pattern)) {
+            row.retain(|s| pattern.binary_search(s).is_err());
+            counts.substitute(&pattern, row, gate);
+            row.push(gate);
         }
     }
 }
@@ -161,8 +165,13 @@ fn holds(row: &[SignalId], pattern: &[SignalId]) -> bool {
 /// Occurrence counts of signal pairs across the rows, in a dense square
 /// table over the signals that can pair at all (those of rows with two
 /// or more literals, plus every gate added since). Dense indices follow
-/// signal order, so scanning the table row-major visits pairs in
-/// ascending `(a, b)` order.
+/// signal order, so `(a, b)` order over dense indices is signal order.
+///
+/// Each table row `a` caches its highest count over `b > a` and the
+/// smallest `b` holding it. An increment keeps that cache exact; a
+/// decrement of the cached entry marks the row stale, and
+/// [`PairCounts::best`] rescans only stale rows before it compares the
+/// cached maxima.
 struct PairCounts {
     /// Signal id → dense index (`u32::MAX` for signals that never pair).
     dense: Vec<u32>,
@@ -171,12 +180,19 @@ struct PairCounts {
     /// `stride × stride` counts; only `a < b` is used.
     table: Vec<u32>,
     stride: usize,
+    /// Per dense row `a`: its highest count and the smallest `b` with it
+    /// (`(0, 0)` for a row of zeros). Exact unless the row is stale.
+    row_best: Vec<(u32, usize)>,
+    /// Rows whose cached maximum a decrement may have lowered.
+    stale: Vec<bool>,
 }
 
 impl PairCounts {
+    /// Counts every pair of every row.
     fn new(n_signals: usize, rows: &[Vec<SignalId>]) -> Self {
+        let pairing_rows = || rows.iter().filter(|r| r.len() >= 2);
         let mut pairs = vec![false; n_signals];
-        for row in rows.iter().filter(|r| r.len() >= 2) {
+        for row in pairing_rows() {
             row.iter().for_each(|&s| pairs[s] = true);
         }
         let mut dense = vec![u32::MAX; n_signals];
@@ -186,20 +202,33 @@ impl PairCounts {
             signal.push(s);
         }
         let stride = signal.len() + signal.len() / 2 + 8;
+        let mut table = vec![0; stride * stride];
+        for row in pairing_rows() {
+            for (i, &a) in row.iter().enumerate() {
+                let base = dense[a] as usize * stride;
+                for &b in &row[i + 1..] {
+                    table[base + dense[b] as usize] += 1;
+                }
+            }
+        }
         PairCounts {
+            row_best: vec![(0, 0); signal.len()],
+            stale: vec![true; signal.len()],
             dense,
             signal,
-            table: vec![0; stride * stride],
+            table,
             stride,
         }
     }
 
     /// Gives a newly created gate output a dense index, growing the table
-    /// when it is full.
+    /// when it is full. The gate's table row starts as zeros.
     fn add_signal(&mut self, s: SignalId) {
         self.dense.resize(s + 1, u32::MAX);
         self.dense[s] = u32::try_from(self.signal.len()).expect("signal count fits u32");
         self.signal.push(s);
+        self.row_best.push((0, 0));
+        self.stale.push(false);
         if self.signal.len() > self.stride {
             let stride = self.stride * 2;
             let mut table = vec![0; stride * stride];
@@ -211,42 +240,72 @@ impl PairCounts {
         }
     }
 
-    fn bump(&mut self, row: &[SignalId], delta: u32) {
-        for (i, &a) in row.iter().enumerate() {
-            let base = self.dense[a] as usize * self.stride;
-            for &b in &row[i + 1..] {
-                let c = &mut self.table[base + self.dense[b] as usize];
-                *c = c.wrapping_add(delta);
+    /// Updates the counts for a row that held `pattern` and now holds
+    /// `rest` and `gate`: every pair touching the pattern goes, and
+    /// `(x, gate)` comes in for each `x` of `rest`.
+    fn substitute(&mut self, pattern: &[SignalId], rest: &[SignalId], gate: SignalId) {
+        for (i, &p) in pattern.iter().enumerate() {
+            let dp = self.dense[p] as usize;
+            for &q in &pattern[i + 1..] {
+                self.decrement(dp, self.dense[q] as usize);
+            }
+            for &x in rest {
+                let dx = self.dense[x] as usize;
+                self.decrement(dp.min(dx), dp.max(dx));
             }
         }
-    }
-
-    fn add_row(&mut self, row: &[SignalId]) {
-        if row.len() >= 2 {
-            self.bump(row, 1);
+        let dg = self.dense[gate] as usize;
+        for &x in rest {
+            self.increment(self.dense[x] as usize, dg);
         }
     }
 
-    fn remove_row(&mut self, row: &[SignalId]) {
-        if row.len() >= 2 {
-            self.bump(row, u32::MAX);
+    /// Counts one more `(a, b)`, dense indices with `a < b`.
+    fn increment(&mut self, a: usize, b: usize) {
+        let c = &mut self.table[a * self.stride + b];
+        *c += 1;
+        let best = &mut self.row_best[a];
+        if *c > best.0 || (*c == best.0 && b < best.1) {
+            *best = (*c, b);
+        }
+    }
+
+    /// Counts one `(a, b)` fewer, dense indices with `a < b`.
+    fn decrement(&mut self, a: usize, b: usize) {
+        self.table[a * self.stride + b] -= 1;
+        if self.row_best[a].1 == b {
+            self.stale[a] = true;
         }
     }
 
     /// The most frequent pair and its count, ties going to the smallest
     /// pair; `None` when no row holds two signals.
-    fn best(&self) -> Option<((SignalId, SignalId), u32)> {
-        let n = self.signal.len();
-        let mut best: Option<((usize, usize), u32)> = None;
-        for a in 0..n {
-            let row = &self.table[a * self.stride..a * self.stride + n];
-            for (b, &c) in row.iter().enumerate().skip(a + 1) {
-                if c > 0 && best.is_none_or(|(_, bc)| c > bc) {
-                    best = Some(((a, b), c));
-                }
+    fn best(&mut self) -> Option<((SignalId, SignalId), u32)> {
+        let mut best: Option<(usize, u32)> = None;
+        for a in 0..self.signal.len() {
+            if self.stale[a] {
+                self.rescan(a);
+            }
+            let c = self.row_best[a].0;
+            if c > 0 && best.is_none_or(|(_, bc)| c > bc) {
+                best = Some((a, c));
             }
         }
-        best.map(|((a, b), c)| ((self.signal[a], self.signal[b]), c))
+        best.map(|(a, c)| ((self.signal[a], self.signal[self.row_best[a].1]), c))
+    }
+
+    /// Recomputes row `a`'s cached maximum from the table.
+    fn rescan(&mut self, a: usize) {
+        let n = self.signal.len();
+        let row = &self.table[a * self.stride..a * self.stride + n];
+        let mut best = (0, 0);
+        for (b, &c) in row.iter().enumerate().skip(a + 1) {
+            if c > best.0 {
+                best = (c, b);
+            }
+        }
+        self.row_best[a] = best;
+        self.stale[a] = false;
     }
 }
 
@@ -295,7 +354,7 @@ pub fn report(net: &XorNetwork) -> SynthReport {
 
 /// The phase-1 pair counter this module used before [`PairCounts`]: a
 /// `HashMap` rebuilt from every row on every iteration. Kept as the
-/// oracle the dense table is tested against.
+/// oracle the incremental table is tested against.
 #[cfg(test)]
 fn extract_patterns_oracle(net: &mut XorNetwork, rows: &mut [Vec<SignalId>], max_fanin: usize) {
     use std::collections::HashMap;
@@ -390,22 +449,61 @@ mod tests {
         m
     }
 
+    /// Fourteen rows over 24 inputs: row 0 is the pair `{0, 1}`, row 1 is
+    /// `{0, …, 9}`, and the other twelve hold `{0, …, 9}` plus some of
+    /// inputs 10–23. Pattern `{0, 1}` goes first at every fan-in, so row 0
+    /// becomes that gate alone and gains no pair.
+    fn row_equal_to_a_pattern() -> BitMat {
+        let mut m = biased_matrix(14, 24, 4, 5);
+        for i in 0..14 {
+            for j in 0..10 {
+                m.set(i, j, i != 0 || j < 2);
+            }
+            if i < 2 {
+                (10..24).for_each(|j| m.set(i, j, false));
+            }
+        }
+        m
+    }
+
+    /// Rows after phase 1 alone, and the gates it materialised.
+    fn extracted(m: &BitMat, max_fanin: usize) -> (Vec<Vec<SignalId>>, usize) {
+        let mut net = XorNetwork::new(m.cols(), max_fanin);
+        let mut rows: Vec<Vec<SignalId>> = m.iter_rows().map(|r| r.iter_ones().collect()).collect();
+        extract_patterns(&mut net, &mut rows, max_fanin);
+        (rows, net.gate_count())
+    }
+
     #[test]
     fn dense_pair_table_matches_the_hashmap_oracle() {
         let g = Gf2Poly::from_crc_notation(0x04C1_1DB7, 32);
         let a = BitMat::companion(&g);
+        // B_Mt's shape at M = 128: ~50 rounds rewrite ~600 rows.
+        let wide = random_matrix(32, 128, 0x5EED);
+        // 300 rows over 10 inputs: more gates than the table's initial
+        // stride has room for, at every fan-in.
+        let narrow = random_matrix(300, 10, 3);
+        let row_pattern = row_equal_to_a_pattern();
         let mut mats = vec![
             a.pow(8),
             a.pow(32),
             a.pow(128),
             BitMat::from_rows(vec![BitVec::from_u64(0x3FF, 10); 10]),
+            wide,
+            narrow.clone(),
+            row_pattern.clone(),
         ];
         for seed in 1..13u64 {
             let (r, c) = (4 + (seed as usize * 7) % 24, 8 + (seed as usize * 13) % 72);
             mats.push(biased_matrix(r, c, 1 + (seed % 7) as u32, seed));
         }
-        for m in &mats {
-            for max_fanin in [2, 10] {
+        for max_fanin in [2, 9, 10] {
+            let (rows, _) = extracted(&row_pattern, max_fanin);
+            assert_eq!(rows[0], [24], "row 0 is the first gate alone");
+            let (_, gates) = extracted(&narrow, max_fanin);
+            let stride = PairCounts::new(10, &[(0..10).collect()]).stride;
+            assert!(gates > stride - 10, "{gates} gates fit the initial stride");
+            for m in &mats {
                 let opts = SynthOptions {
                     max_fanin,
                     share_patterns: true,
