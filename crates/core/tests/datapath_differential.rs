@@ -174,15 +174,27 @@ fn long_messages_cross_the_word_table_build_point() {
 
 /// Scrambled frames against `AdditiveScrambler` through the one-shot
 /// `DreamSystem::scramble`, the chunked stream entry points (random
-/// whole-block chunks, then the residual) and `DreamScramblerApp`: the
-/// 802.11, DVB, PRBS23 and PRBS31 specs (states of 7 to 31 bits) at
-/// M ∈ {8, 16, 32, 128}. The first two frames, 2,000 and 1,400 blocks,
-/// carry each compile across its word table's build point (2,560 to
-/// 3,328 blocks at M < 64); then frames around one 64-bit word of blocks.
+/// whole-block chunks, then the residual) and `DreamScramblerApp`, at
+/// M ∈ {8, 16, 32, 128}, for every shape of the word step's state
+/// tables: one state byte (802.11 and PRBS7, k = 7), two (PRBS9, the
+/// smallest, and DVB and PRBS15, k = 15), three (PRBS23) and four
+/// (PRBS31). The first two frames, 2,000 and 1,400 blocks, carry each
+/// compile across its word table's build point (512 to 2,048 blocks
+/// at M < 64); then frames around one 64-bit word of blocks. Each frame
+/// runs from a random seed and from seeds 0 and `2^k − 1`.
 #[test]
 fn scrambled_frames_match_the_serial_scrambler() {
     let mut rng = Rng(0x00F4_A3E5);
-    for name in ["IEEE-802.11", "DVB", "PRBS23", "PRBS31"] {
+    let specs = [
+        "IEEE-802.11",
+        "PRBS7",
+        "PRBS9",
+        "DVB",
+        "PRBS15",
+        "PRBS23",
+        "PRBS31",
+    ];
+    for name in specs {
         let spec = ScramblerSpec::by_name(name).expect("catalogue entry");
         for m in [8, 16, 32, 128] {
             let mut sys = DreamSystem::new(PicogaParams::dream(), ControlModel::default());
@@ -190,11 +202,13 @@ fn scrambled_frames_match_the_serial_scrambler() {
             let p = build_scrambler_personality("scr", spec, &opts).unwrap();
             sys.register_scrambler(p).unwrap();
             let (mut app, _) = build_scrambler_app(spec, &opts).unwrap();
-            for blocks in [2000, 1400, 0, 1, 3, 4, 5, 63, 64, 65, 130] {
-                let what = format!("{name} at M={m}, {blocks} blocks");
+            let cases = [2000, 1400, 0, 1, 3, 4, 5, 63, 64, 65, 130].into_iter();
+            let last = (1 << spec.width) - 1;
+            for (blocks, seed) in cases.flat_map(|b| [(b, None), (b, Some(0)), (b, Some(last))]) {
                 let len = (blocks * m + rng.below(m)).max(1);
                 let frame = BitVec::from_le_bytes(&rng.bytes(len.div_ceil(8)), len);
-                let seed = 1 + rng.below((1 << spec.width) - 1) as u64;
+                let seed = seed.unwrap_or_else(|| 1 + rng.below((1 << spec.width) - 1) as u64);
+                let what = format!("{name} at M={m}, {blocks} blocks, seed {seed}");
                 let mut oracle = AdditiveScrambler::with_seed(spec, seed).unwrap();
                 let want = oracle.scramble(&frame);
                 let (got, _) = sys.scramble("scr", seed, &frame).unwrap();

@@ -25,13 +25,18 @@ pub struct LaneUsage {
 
 /// The profiler. Lives inside the fabric simulator; all inputs are
 /// simulated quantities, so its output is seed-reproducible.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct FabricProfiler {
     rows: usize,
     row_busy: Vec<u64>,
     fill_drain_stalls: u64,
+    /// The attribution label.
     lane: String,
-    lanes: BTreeMap<String, LaneUsage>,
+    /// The label's entry in `usage`, once it has one.
+    lane_at: Option<usize>,
+    /// Usage per charged label (`"?"` for the empty one), in order of
+    /// first charge.
+    usage: Vec<(String, LaneUsage)>,
 }
 
 impl FabricProfiler {
@@ -43,7 +48,8 @@ impl FabricProfiler {
             row_busy: vec![0; rows],
             fill_drain_stalls: 0,
             lane: String::new(),
-            lanes: BTreeMap::new(),
+            lane_at: None,
+            usage: Vec::new(),
         }
     }
 
@@ -53,6 +59,17 @@ impl FabricProfiler {
         if self.lane != name {
             self.lane.clear();
             self.lane.push_str(name);
+            let key = self.key();
+            self.lane_at = self.usage.iter().position(|(n, _)| n == key);
+        }
+    }
+
+    /// The usage key of the label.
+    fn key(&self) -> &str {
+        if self.lane.is_empty() {
+            "?"
+        } else {
+            &self.lane
         }
     }
 
@@ -61,16 +78,17 @@ impl FabricProfiler {
             *r = r.saturating_add(blocks);
         }
         self.fill_drain_stalls = self.fill_drain_stalls.saturating_add(stalls);
-        let key = if self.lane.is_empty() {
-            "?"
-        } else {
-            &self.lane
+        // The label gets its entry, and its key allocated, on its first
+        // charge only.
+        let at = match self.lane_at {
+            Some(at) => at,
+            None => {
+                self.usage
+                    .push((self.key().to_owned(), LaneUsage::default()));
+                *self.lane_at.insert(self.usage.len() - 1)
+            }
         };
-        // The key is allocated on the lane's first charge only.
-        if !self.lanes.contains_key(key) {
-            self.lanes.insert(key.to_owned(), LaneUsage::default());
-        }
-        let u = self.lanes.get_mut(key).expect("inserted above");
+        let u = &mut self.usage[at].1;
         u.busy_cycles = u.busy_cycles.saturating_add(busy);
         u.issues = u.issues.saturating_add(issues);
         u.blocks = u.blocks.saturating_add(blocks);
@@ -118,8 +136,8 @@ impl FabricProfiler {
 
     /// Per-personality usage, name-ordered.
     #[must_use]
-    pub fn lanes(&self) -> &BTreeMap<String, LaneUsage> {
-        &self.lanes
+    pub fn lanes(&self) -> BTreeMap<&str, LaneUsage> {
+        self.usage.iter().map(|(n, u)| (n.as_str(), *u)).collect()
     }
 
     /// Per-row occupancy in percent of `total_cycles` (0 when
@@ -144,7 +162,8 @@ impl FabricProfiler {
             *r = 0;
         }
         self.fill_drain_stalls = 0;
-        self.lanes.clear();
+        self.usage.clear();
+        self.lane_at = None;
     }
 }
 
@@ -181,6 +200,59 @@ mod tests {
         p.record_iterative(2, 3, 0);
         assert_eq!(p.row_busy(), &[0, 0]);
         assert!(p.lanes().is_empty());
+    }
+
+    #[test]
+    fn charges_land_in_the_current_lane() {
+        let mut p = FabricProfiler::new(2);
+        // Lane A takes 1 block, B 2, A again 4, the empty label 8.
+        for (lane, blocks) in [("A", 1), ("B", 2), ("A", 4), ("", 8)] {
+            p.set_lane(lane);
+            p.record_stream(1, 1, blocks);
+        }
+        let blocks = |p: &FabricProfiler, lane: &str| p.lanes()[lane].blocks;
+        assert_eq!(
+            (blocks(&p, "A"), blocks(&p, "B"), blocks(&p, "?")),
+            (5, 2, 8)
+        );
+        assert_eq!(p.lanes()["A"].issues, 2);
+        // A lane named "?" shares the empty label's entry.
+        p.set_lane("?");
+        p.record_stream(1, 1, 16);
+        assert_eq!(blocks(&p, "?"), 24);
+    }
+
+    #[test]
+    fn lanes_are_name_ordered() {
+        let mut p = FabricProfiler::new(1);
+        for lane in ["wifi16", "eth8", "", "eth128", "eth32"] {
+            p.set_lane(lane);
+            p.record_iterative(1, 2, 1);
+        }
+        let names: Vec<&str> = p.lanes().into_keys().collect();
+        assert_eq!(names, ["?", "eth128", "eth32", "eth8", "wifi16"]);
+    }
+
+    #[test]
+    fn reset_keeps_the_label_and_the_next_charge_recreates_its_entry() {
+        let mut p = FabricProfiler::new(2);
+        p.set_lane("eth32");
+        p.record_stream(2, 3, 10);
+        p.set_lane("wifi16");
+        p.record_stream(1, 2, 4);
+        p.reset();
+        assert!(p.lanes().is_empty());
+        assert_eq!(p.row_busy(), &[0, 0]);
+        assert_eq!(p.fill_drain_stalls(), 0);
+        p.record_stream(1, 2, 5);
+        let lanes = p.lanes();
+        assert_eq!(lanes.keys().copied().collect::<Vec<_>>(), ["wifi16"]);
+        assert_eq!(lanes["wifi16"].blocks, 5);
+        assert_eq!(lanes["wifi16"].issues, 1);
+        // A lane charged before the reset starts again from nothing.
+        p.set_lane("eth32");
+        p.record_stream(2, 3, 1);
+        assert_eq!(p.lanes()["eth32"].busy_cycles, 3);
     }
 
     #[test]

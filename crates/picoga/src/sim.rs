@@ -13,7 +13,7 @@
 //!   [`PicogaParams::context_load_cycles`] and is charged only on misses.
 
 use crate::arch::PicogaParams;
-use crate::compiled::Compiled;
+use crate::compiled::{Compiled, WordTable};
 use crate::fault::{ConfigFault, InjectError, LoadCorruption, LoadFault};
 use crate::op::{OpStats, PgaOperation};
 use gf2::BitVec;
@@ -858,7 +858,7 @@ impl PicogaSim {
                 let blocks = words.chunks_exact(m / 64).take(n);
                 s = blocks.fold(s, |s, u| step(s, code.data.apply_whole_words(u)));
                 done = n;
-            } else if let Some(table) = code.word_table(fb, n) {
+            } else if let Some(WordTable::Crc(table)) = code.word_table(fb, n) {
                 let whole = n / table.blocks();
                 s = words[..whole].iter().fold(s, |s, &w| table.step(s, w));
                 done = whole * table.blocks();
@@ -1101,7 +1101,7 @@ impl PicogaSim {
 
     /// [`PicogaSim::run_scrambler_stream`] over the first `n` M-bit
     /// blocks of a packed bit stream. Once the context's compile has a
-    /// word table, the stream's whole 64-bit words take one table sweep
+    /// word table, the stream's whole 64-bit words take one word step
     /// each, writing one output word, and the blocks after them go one
     /// at a time; the cycles charged are the same.
     ///
@@ -1227,13 +1227,9 @@ impl PicogaSim {
         let mut out = vec![0u64; (n * width).div_ceil(64)];
         let mut done = 0;
         if let (Some(words), [x]) = (stream, &mut *state) {
-            if let Some(table) = code.word_table(fb, n) {
+            if let Some(WordTable::Scrambler(table)) = code.word_table(fb, n) {
                 let whole = n / table.blocks();
-                let mut s = *x;
-                for (y, &w) in out.iter_mut().zip(&words[..whole]) {
-                    (*y, s) = table.scramble(s, w);
-                }
-                *x = s;
+                *x = table.scramble(*x, &words[..whole], &mut out[..whole]);
                 done = whole * table.blocks();
             }
         }
@@ -1278,7 +1274,6 @@ fn check_packed(bits: &BitVec, n: usize, m: usize) -> Result<(), SimError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compiled::WordTable;
     use gf2::{BitMat, Gf2Poly};
     use lfsr::crc::CrcSpec;
     use lfsr::StateSpaceLfsr;
@@ -2037,10 +2032,9 @@ mod tests {
         /// is no table, at it there is one. Returns whether the
         /// operation gets a table at all.
         fn drive_to_build_point(sim: &mut PicogaSim, rng: &mut Rng, m: usize) -> bool {
-            let op = sim.context(0).unwrap();
-            let (k, keyed) = (op.feedback().unwrap().k, !op.is_crc_update());
+            let k = sim.context(0).unwrap().feedback().unwrap().k;
             assert!(!code(sim).has_word_table(), "a fresh compile has none");
-            let Some(entries) = WordTable::entries(k, m, keyed) else {
+            let Some(entries) = code(sim).word_entries(k) else {
                 run_packed(sim, &rng.bits(4096 * m), 4096, false);
                 assert!(!code(sim).has_word_table());
                 return false;
@@ -2053,6 +2047,30 @@ mod tests {
             assert!(code(sim).has_word_table(), "built at the build point");
             assert_eq!(sim.compile_is_exact(0), Some(true));
             true
+        }
+
+        /// Checks the shape of slot 0's built word table, and returns
+        /// whether its message word passes through. Its heap bytes are
+        /// the words of its entry count. A CRC update's are eight
+        /// message-word tables and `ceil(min(L, k)/8)` over the top state
+        /// bits; a scrambler's are `ceil(k/8)` state-byte tables of two
+        /// words an entry, and eight message-word tables unless the word
+        /// passes through.
+        fn assert_table_shape(sim: &PicogaSim, m: usize) -> bool {
+            let fb = sim.context(0).unwrap().feedback().unwrap().clone();
+            let code = code(sim);
+            let entries = code.word_entries(fb.k).unwrap();
+            let (bytes, tables, passes) = match code.word_table(&fb, 0).unwrap() {
+                WordTable::Crc(t) => (t.heap_bytes(), 8 + (64 / m).min(fb.k).div_ceil(8), false),
+                WordTable::Scrambler(t) => {
+                    let passes = t.passes_data_through();
+                    let data = if passes { 0 } else { 8 };
+                    (t.heap_bytes(), 2 * fb.k.div_ceil(8) + data, passes)
+                }
+            };
+            assert_eq!(bytes, 2048 * tables);
+            assert_eq!(bytes, 8 * entries, "priced at its words");
+            passes
         }
 
         /// The packed, one-word and listed entry points of the CRC
@@ -2175,16 +2193,7 @@ mod tests {
                     let built = drive_to_build_point(&mut sim, &mut rng, m);
                     assert_eq!(built, m < 64, "{} m{m}", op.name());
                     if built {
-                        let fb = op.feedback().unwrap();
-                        let code = code(&sim);
-                        let table = code.word_table(fb, 0).unwrap();
-                        let top = (64 / m).min(fb.k).div_ceil(8);
-                        let key = if op.is_crc_update() {
-                            0
-                        } else {
-                            fb.k.div_ceil(8)
-                        };
-                        assert_eq!(table.heap_bytes(), 2048 * (8 + key + top));
+                        assert_table_shape(&sim, m);
                     }
                     check_word_path(&mut sim, &mut rng, m);
                 }
@@ -2193,6 +2202,175 @@ mod tests {
                 forward > 10,
                 "flips reading later-placed gates were exercised"
             );
+        }
+
+        /// Scramblers whose data half is the identity, as every additive
+        /// scrambler's is (`D_stack = I`): an output network computing
+        /// `[R | I_m]` over `[x | u]`, `R` random, for each state shape
+        /// of the word step: k = 7 and 8 (one state byte), 9 and 15
+        /// (two), and 31 (four).
+        fn unit_data_scramblers(rng: &mut Rng, m: usize) -> Vec<PgaOperation> {
+            [0x91, 0x11D, 0x221, 0xC001, 0x9000_0001]
+                .into_iter()
+                .map(|poly| {
+                    let a = BitMat::companion(&Gf2Poly::from_u64(poly));
+                    let k = a.rows();
+                    let rows = (0..m)
+                        .map(|t| rng.bits(k).concat(&BitVec::unit(t, m)))
+                        .collect();
+                    let net = synthesize(&BitMat::from_rows(rows), SynthOptions::default());
+                    PgaOperation::scrambler(format!("unit{k}"), net, &a, m, &roomy()).unwrap()
+                })
+                .collect()
+        }
+
+        /// A wire flip that leaves the data half `D` of the scrambler
+        /// `op` (state width `k`) one bit off the identity: a pin moved
+        /// onto a data input adds it to one more output, so every column
+        /// keeps its unit bit and one gains another.
+        fn one_bit_data_flip(op: &PgaOperation, k: usize) -> ConfigFault {
+            let net = op.network();
+            for (gate, g) in net.gates().iter().enumerate() {
+                for pin in 0..g.inputs.len() {
+                    for new_signal in k..net.n_inputs() {
+                        let mut probe = op.clone();
+                        if probe.corrupt_wire(gate, pin, new_signal).is_err() {
+                            continue;
+                        }
+                        let d = probe.network().to_matrix();
+                        let off: Vec<bool> = (0..d.rows())
+                            .flat_map(|t| (k..d.cols()).map(move |j| (t, j)))
+                            .filter(|&(t, j)| d.get(t, j) != (j - k == t))
+                            .map(|(t, j)| d.get(t, j))
+                            .collect();
+                        if off == [true] {
+                            return wire_flip(gate, pin, new_signal);
+                        }
+                    }
+                }
+            }
+            panic!("{}: no flip leaves D one bit off", op.name());
+        }
+
+        /// A stuck-at-1 cell under slot 0's placement that leaves the
+        /// compile's `D` the identity but its constant `c` non-zero (the
+        /// cell's gate reads state inputs only), if one exists.
+        fn constant_stuck_cell(sim: &mut PicogaSim, m: usize) -> Option<ConfigFault> {
+            let rows = sim.context(0).unwrap().placement().rows().to_vec();
+            for (row, cells) in rows.iter().enumerate() {
+                for cell in 0..cells.len() {
+                    let f = ConfigFault::StuckCell {
+                        row,
+                        cell,
+                        value: true,
+                    };
+                    sim.inject(&f).unwrap();
+                    let code = code(sim);
+                    sim.clear_stuck_cells();
+                    let c = code.data.apply_word(|_| 0);
+                    if c != 0 && (0..m).all(|t| code.data.apply_word(|_| 1 << t) == c ^ 1 << t) {
+                        return Some(f);
+                    }
+                }
+            }
+            None
+        }
+
+        /// The pass-through word step against the gate-at-a-time
+        /// evaluator, through the packed, one-word and listed entry
+        /// points, on [`unit_data_scramblers`] at M ∈ {8, 16, 32}. Each
+        /// runs pristine, where the compile takes the step; with a wire
+        /// flip that leaves `D` one bit off the identity, where it keeps
+        /// the message-word tables; under random wire flips, tap flips and
+        /// stuck cells; under a stuck cell that keeps `D = I` with a
+        /// non-zero constant, which the step must fold in; and under an
+        /// armed load corruption.
+        #[test]
+        fn pass_through_word_steps_match_the_row_evaluator_under_faults() {
+            let mut rng = Rng(0x0DA7_A1D5);
+            let (mut passed, mut kept, mut constant) = (0, 0, 0);
+            for m in [8, 16, 32] {
+                for op in unit_data_scramblers(&mut rng, m) {
+                    let k = op.feedback().unwrap().k;
+                    for round in 0..5 {
+                        let mut sim = PicogaSim::new(roomy());
+                        if round == 4 {
+                            let (gate, new_signal, _) = semantic_wire_flip(&op);
+                            sim.arm_load_corruption(LoadCorruption {
+                                load_index: 0,
+                                fault: LoadFault::WireFlip {
+                                    gate,
+                                    pin: 0,
+                                    new_signal,
+                                },
+                            });
+                        }
+                        sim.load_context(0, op.clone()).unwrap();
+                        sim.switch_to(0).unwrap();
+                        let takes_step = match round {
+                            0 => Some(true),
+                            1 => {
+                                sim.inject(&one_bit_data_flip(&op, k)).unwrap();
+                                Some(false)
+                            }
+                            2 => {
+                                corrupt(&mut sim, &op, &mut rng);
+                                None
+                            }
+                            3 => {
+                                let Some(f) = constant_stuck_cell(&mut sim, m) else {
+                                    continue;
+                                };
+                                sim.inject(&f).unwrap();
+                                constant += 1;
+                                Some(true)
+                            }
+                            _ => None,
+                        };
+                        assert!(drive_to_build_point(&mut sim, &mut rng, m));
+                        let passes = assert_table_shape(&sim, m);
+                        if let Some(want) = takes_step {
+                            assert_eq!(passes, want, "{} m{m} round {round}", op.name());
+                        }
+                        if passes {
+                            passed += 1;
+                        } else {
+                            kept += 1;
+                        }
+                        check_word_path(&mut sim, &mut rng, m);
+                    }
+                }
+            }
+            assert!(constant >= 8, "constants folded in: {constant}");
+            assert!(passed >= 30 && kept >= 20, "passed {passed}, kept {kept}");
+        }
+
+        /// Every catalogue scrambler built as the flow builds it (Derby
+        /// transform, output network `[C_stack·T | D_stack]`) has
+        /// `D = I`, so at M ∈ {8, 16, 32} its compile takes the
+        /// pass-through step, priced at two words an entry of its
+        /// `ceil(k/8)` state-byte tables: 512 for the 802.11 scrambler.
+        #[test]
+        fn catalogue_scramblers_pass_their_data_through() {
+            let mut rng = Rng(0x0802_0011);
+            for spec in lfsr::scramble::SCRAMBLER_CATALOG {
+                for m in [8, 16, 32] {
+                    let serial = StateSpaceLfsr::additive_scrambler(&spec.polynomial()).unwrap();
+                    let block = BlockSystem::new(&serial, m).unwrap();
+                    let derby = DerbyTransform::new(&block).unwrap();
+                    let net = synthesize(&derby.output_matrix(&block), SynthOptions::default());
+                    let op =
+                        PgaOperation::scrambler(spec.name, net, derby.a_mt(), m, &roomy()).unwrap();
+                    let mut sim = PicogaSim::new(roomy());
+                    sim.load_context(0, op).unwrap();
+                    sim.switch_to(0).unwrap();
+                    let k = spec.width;
+                    assert_eq!(code(&sim).word_entries(k), Some(512 * k.div_ceil(8)));
+                    assert!(drive_to_build_point(&mut sim, &mut rng, m));
+                    assert!(assert_table_shape(&sim, m), "{} m{m}", spec.name);
+                    check_word_path(&mut sim, &mut rng, m);
+                }
+            }
         }
 
         /// A word table lives and dies with its compile. A stuck cell

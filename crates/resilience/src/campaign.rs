@@ -385,13 +385,11 @@ fn run_trial(
     let detected = detections > 0 || rs.dmr_mismatches() > 0;
     let fell_back = rs
         .hosted()
-        .iter()
         .any(|n| rs.system().health(n) == dream::Health::Fallback);
     let healed = !fell_back
         && detected
         && rs
             .hosted()
-            .iter()
             .all(|n| rs.system().health(n) == dream::Health::Healthy);
     let _ = tail_outcomes;
 
